@@ -243,6 +243,9 @@ def dilate(pair_file, truncation, dump, **params):
         except ValueError:
             raise click.UsageError("--truncation must be 'auto' or an integer")
     dil = build_dilation(pair, coll, d1, N=N, tol_trunc=tol.trunc, tol_pure=tol.pure)
+    # assembled before any output: past the dense row limit this raises
+    # InputError and the command prints nothing
+    dense = {"Pi": dil.Pi, "Mz": dil.Mz, "MPsi": dil.MPsi} if dump else None
     inter = intertwining_residuals(dil, pair)
     comp = compression_residuals(dil, pair)
     iso = mpsi_isometry_residual(dil, coll)
@@ -265,11 +268,7 @@ def dilate(pair_file, truncation, dump, **params):
     }
     click.echo(serialize.dumps(payload), nl=False)
     if dump:
-        matrices = {
-            "Pi": serialize.matrix_to_nested(dil.Pi),
-            "Mz": serialize.matrix_to_nested(dil.Mz),
-            "MPsi": serialize.matrix_to_nested(dil.MPsi),
-        }
+        matrices = {name: serialize.matrix_to_nested(M) for name, M in dense.items()}
         with open(dump, "w", encoding="utf-8") as fh:
             fh.write(serialize.dumps(matrices))
 

@@ -138,7 +138,9 @@ def build_colligation(pair: ContractionPair, d1: DefectData, d2: DefectData) -> 
 
     Raises :class:`ValidationError` if the forced action cannot be realized,
     which signals a pair violating commutation or contractivity beyond what
-    validation tolerances caught.
+    validation tolerances caught, and :class:`NumericError` if the forced
+    domain and range have different numeric ranks, which signals defect data
+    inconsistent with the pair.
     """
     T1, T2 = pair.T1, pair.T2
     E1, E2 = d1.basis, d2.basis
@@ -159,9 +161,11 @@ def build_colligation(pair: ContractionPair, d1: DefectData, d2: DefectData) -> 
     thr = _FORCED_RANK_RTOL * smax
     rho = int(np.sum(sd > thr))
     rho_ran = int(np.sum(sr > thr))
-    assert rho == rho_ran, (
-        f"forced ranks disagree ({rho} vs {rho_ran}); defect ranks inconsistent"
-    )
+    if rho != rho_ran:
+        raise NumericError(
+            f"forced ranks disagree ({rho} vs {rho_ran}); defect ranks inconsistent",
+            forced_rank=rho, range_rank=rho_ran,
+        )
 
     if rho:
         V0 = (M_ran @ Vdh[:rho, :].conj().T / sd[:rho]) @ mc.adjoint(Ud[:, :rho])

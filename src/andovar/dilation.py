@@ -5,6 +5,23 @@ D_T1 (I - z T1*)^{-1} h, expressed in defect coordinates; M_z is the block
 down-shift and M_Psi the block lower-triangular Toeplitz operator whose
 symbols are the Taylor coefficients of the inner multiplier Psi.
 
+Neither M_z nor M_Psi is stored.  The dilation keeps Pi, (N+1) r1 x n, and
+the symbol stack Psi_0..Psi_N, and every residual is computed from that
+structure in memory linear in the truncation degree:
+
+* M_z* Pi is Pi moved up one block, M_Psi* Pi a block correlation of the
+  symbols with the blocks of Pi, and Pi* M_z Pi = sum_k Pi_(k+1)* Pi_k.
+* [Pi, M_z Pi, ..., M_z^N Pi] is block lower-triangular Toeplitz with
+  diagonal block E1* D1, so its rank is read off that r1 x n block.
+* The infinite M_Psi is an isometry because Psi is inner, so
+  M_Psi* M_Psi - I = -H* H, where H carries the symbols the window sends
+  past degree N.  With the colligation blocks B, D this gives
+  ||M_Psi* M_Psi - I|| = lambda_max(sum_(j=0..N) D*^j B* B D^j), an
+  r2 x r2 sum.
+
+The dense matrices remain readable as ``TruncatedDilation.Mz`` and
+``.MPsi``, assembled on each access, for debugging dumps and test oracles.
+
 All infinite-dimensional identities acquire explicit truncation tails here;
 every residual is paired with a computed bound derived from the measured
 power norms ||T1*^k|| and the symbol decay, never an assumed one.
@@ -12,7 +29,6 @@ power norms ||T1*^k|| and the symbol decay, never an assumed one.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +53,22 @@ __all__ = [
     "mpsi_isometry_residual",
 ]
 
-_DENSE_ROWS_WARN = 100_000
+# largest row count for which Mz and MPsi are assembled densely
+DENSE_ROWS_MAX = 100_000
+
+
+def _block_toeplitz(symbols: np.ndarray) -> np.ndarray:
+    """Dense block lower-triangular Toeplitz matrix with blocks symbols[i - k]."""
+    count, r, _ = symbols.shape
+    rows = count * r
+    if rows > DENSE_ROWS_MAX:
+        raise InputError(
+            f"dense dilation operator with {rows} rows exceeds the limit of "
+            f"{DENSE_ROWS_MAX} rows")
+    out = np.zeros((count, r, count, r), complex)
+    for q in range(count):
+        out[np.arange(q, count), :, np.arange(count - q), :] = symbols[q]
+    return out.reshape(rows, rows)
 
 
 @dataclass(frozen=True)
@@ -48,22 +79,33 @@ class TruncatedDilation:
     r1: int
     n: int
     Pi: np.ndarray
-    Mz: np.ndarray
-    MPsi: np.ndarray
+    symbols: np.ndarray          # Psi_q for q = 0..N, shape (N+1, r1, r1)
     tail_bound: float            # ||T1*^(N+1)||
     tail_bound_prev: float       # ||T1*^N||
     d1_norm: float               # ||D_T1||
-    symbol_norms: np.ndarray     # ||Psi_q|| for q = 0..N
 
     @property
     def rows(self) -> int:
         return (self.N + 1) * self.r1
 
+    @property
+    def Mz(self) -> np.ndarray:
+        """Dense block down-shift, assembled on each access."""
+        shift = np.zeros_like(self.symbols)
+        if self.N:
+            shift[1] = np.eye(self.r1)
+        return _block_toeplitz(shift)
+
+    @property
+    def MPsi(self) -> np.ndarray:
+        """Dense block Toeplitz multiplier, assembled on each access."""
+        return _block_toeplitz(self.symbols)
+
 
 def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
                    N: int | None = None, tol_trunc: float = 1e-9,
                    tol_pure: float = 1e-8) -> TruncatedDilation:
-    """Materialize Pi, M_z and M_Psi at truncation degree N.
+    """Materialize Pi and the symbol stack of M_Psi at truncation degree N.
 
     ``N=None`` selects the smallest degree whose tail norm falls below
     ``tol_trunc``.  An explicit N must dominate that degree and stay under
@@ -85,42 +127,33 @@ def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
         )
     r1 = d1.rank
     n = pair.dim
-    rows = (N + 1) * r1
-    if rows > _DENSE_ROWS_WARN:
-        warnings.warn(
-            f"dense dilation assembly with {rows} rows; expect heavy memory use",
-            stacklevel=2,
-        )
 
     E1s_D1 = mc.adjoint(d1.basis) @ d1.D
-    Pi = np.zeros((rows, n), complex)
+    Pi = np.zeros(((N + 1) * r1, n), complex)
     block = E1s_D1.copy()
     T1s = mc.adjoint(T1)
     for k in range(N + 1):
         Pi[k * r1:(k + 1) * r1, :] = block
         block = block @ T1s
 
-    Mz = np.zeros((rows, rows), complex)
-    eye_r = np.eye(r1)
-    for k in range(N):
-        Mz[(k + 1) * r1:(k + 2) * r1, k * r1:(k + 1) * r1] = eye_r
-
-    psi = adjoint_transfer(coll)
-    symbols = taylor_symbols(psi, N + 1)
-    MPsi = np.zeros((rows, rows), complex)
-    for q, sym in enumerate(symbols):
-        if not sym.size or not np.any(sym):
-            continue
-        for k in range(N + 1 - q):
-            MPsi[(k + q) * r1:(k + q + 1) * r1, k * r1:(k + 1) * r1] = sym
-
+    symbols = np.array(taylor_symbols(adjoint_transfer(coll), N + 1))
     return TruncatedDilation(
-        N=N, r1=r1, n=n, Pi=Pi, Mz=Mz, MPsi=MPsi,
+        N=N, r1=r1, n=n, Pi=Pi, symbols=symbols,
         tail_bound=mc.matrix_power_norm(T1s, N + 1),
         tail_bound_prev=mc.matrix_power_norm(T1s, N),
         d1_norm=mc.operator_norm(d1.D),
-        symbol_norms=np.array([mc.operator_norm(s) for s in symbols]),
     )
+
+
+def _mpsi_adjoint_pi(dil: TruncatedDilation) -> np.ndarray:
+    """MPsi* Pi, whose block k is the correlation sum_q Psi_q* Pi_(k+q)."""
+    r1 = dil.r1
+    # row of adjoint symbols [Psi_0*, Psi_1*, ..., Psi_N*]
+    adj_row = dil.symbols.conj().transpose(2, 0, 1).reshape(r1, -1)
+    out = np.empty_like(dil.Pi)
+    for k in range(dil.N + 1):
+        out[k * r1:(k + 1) * r1] = adj_row[:, :dil.rows - k * r1] @ dil.Pi[k * r1:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -138,8 +171,10 @@ def intertwining_residuals(dil: TruncatedDilation, pair: ContractionPair) -> Int
     ||D_T1|| * ||T1*^(N+1)||; the Toeplitz truncation gives res_psi at most
     sqrt(N+1) times the tail norm.
     """
-    res_z = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T1) - mc.adjoint(dil.Mz) @ dil.Pi)
-    res_psi = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T2) - mc.adjoint(dil.MPsi) @ dil.Pi)
+    mz_adj_pi = np.zeros_like(dil.Pi)
+    mz_adj_pi[:dil.rows - dil.r1] = dil.Pi[dil.r1:]
+    res_z = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T1) - mz_adj_pi)
+    res_psi = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T2) - _mpsi_adjoint_pi(dil))
     return IntertwiningReport(
         res_z=res_z,
         res_psi=res_psi,
@@ -158,8 +193,11 @@ class CompressionReport:
 
 def compression_residuals(dil: TruncatedDilation, pair: ContractionPair) -> CompressionReport:
     """How well Pi* Mz Pi and Pi* MPsi Pi recover T1 and T2."""
-    res_t1 = mc.operator_norm(mc.adjoint(dil.Pi) @ dil.Mz @ dil.Pi - pair.T1)
-    res_t2 = mc.operator_norm(mc.adjoint(dil.Pi) @ dil.MPsi @ dil.Pi - pair.T2)
+    Pi, r1 = dil.Pi, dil.r1
+    pi_mz_pi = mc.adjoint(Pi[r1:]) @ Pi[:dil.rows - r1]
+    pi_mpsi_pi = mc.adjoint(_mpsi_adjoint_pi(dil)) @ Pi
+    res_t1 = mc.operator_norm(pi_mz_pi - pair.T1)
+    res_t2 = mc.operator_norm(pi_mpsi_pi - pair.T2)
     inter = intertwining_residuals(dil, pair)
     return CompressionReport(
         res_t1=res_t1,
@@ -170,23 +208,30 @@ def compression_residuals(dil: TruncatedDilation, pair: ContractionPair) -> Comp
 
 
 def minimality_defect(dil: TruncatedDilation, rank_tol: float | None = None) -> int:
-    """(N+1) r1 minus the numeric rank of [Pi, Mz Pi, ..., Mz^N Pi].
+    """(N+1) r1 minus the numeric rank of K = [Pi, Mz Pi, ..., Mz^N Pi].
 
     Zero means the shifted copies of ran(Pi) fill the truncated space, the
     finite-degree shadow of dilation minimality.
+
+    Block (k, j) of K is Pi_(k-j) for k >= j and zero above, so K is block
+    lower-triangular Toeplitz with diagonal block G = Pi_0 = E1* D1.  If G
+    has full row rank r1, then K* y = 0 forces, block column by block
+    column from the last, y_N = 0, y_(N-1) = 0, ..., y_0 = 0, so K has full
+    row rank (N+1) r1.  G has full row rank by construction (E1 is a basis
+    of ran D1), so the defect is structurally zero; numerically it is
+    (N+1) (r1 - rank G).  ``rank_tol``, when given, is relative to the
+    largest singular value of G; otherwise numpy's default rank threshold
+    applies.
     """
-    blocks = []
-    current = dil.Pi
-    for _ in range(dil.N + 1):
-        blocks.append(current)
-        current = dil.Mz @ current
-    K = np.hstack(blocks)
+    G = dil.Pi[:dil.r1]
+    if G.size == 0:
+        return dil.rows
     if rank_tol is None:
-        rank = np.linalg.matrix_rank(K)
+        rank = np.linalg.matrix_rank(G)
     else:
-        s = np.linalg.svd(K, compute_uv=False)
-        rank = int(np.sum(s > rank_tol * (s[0] if s.size else 1.0)))
-    return dil.rows - int(rank)
+        s = np.linalg.svd(G, compute_uv=False)
+        rank = int(np.sum(s > rank_tol * s[0]))
+    return dil.rows - (dil.N + 1) * int(rank)
 
 
 @dataclass(frozen=True)
@@ -207,10 +252,27 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation,
     identity holds up to the decayed tail, which is quadratic in the symbol
     envelope (hence the loose default for ``sym_tol``).  If the symbols do
     not decay inside the truncation window the restricted residual is NaN.
+
+    Neither norm needs MPsi.  With Psi_q = C* D*^(q-1) B* for q >= 1, the
+    part H of the infinite Toeplitz operator that maps block k <= N past
+    degree N factors as H = O R, where O = [C*; C* D*; C* D*^2; ...] and
+    block k of R is D*^(N-k) B*.  As U is unitary, C C* = I - D D*, so
+    O* O = sum_m D^m (I - D D*) D*^m = I - lim_M D^M D*^M: the identity on
+    the completely non-unitary part of D, which reduces D and contains
+    ran B*, hence ran R.  The infinite Toeplitz operator is an isometry, so
+    MPsi* MPsi - I = -H* H = -R* R, and its norm over the blocks
+    k <= N - q_eff is the largest eigenvalue of
+    sum_(j=q_eff..N) D*^j B* B D^j; the raw residual sums from j = 0.
     """
-    rows = dil.rows
-    G = mc.adjoint(dil.MPsi) @ dil.MPsi - np.eye(rows)
-    raw = mc.operator_norm(G)
+    # rows j r1 .. (j+1) r1 of BD hold B D^j, so BD[j0 r1:]* BD[j0 r1:] is
+    # the sum from j = j0
+    r1 = dil.r1
+    BD = np.empty(((dil.N + 1) * r1, coll.r2), complex)
+    power = coll.B
+    for j in range(dil.N + 1):
+        BD[j * r1:(j + 1) * r1] = power
+        power = power @ coll.D
+    raw = mc.operator_norm(BD) ** 2
     # symbol envelope ||Psi_q|| <= ||B|| ||C|| ||D^(q-1)||, monotone in q
     Dstar = mc.adjoint(coll.D)
     bc = mc.operator_norm(coll.B) * mc.operator_norm(coll.C)
@@ -221,6 +283,6 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation,
             q_eff = q
             break
         power = Dstar @ power
-    keep = (dil.N + 1 - q_eff) * dil.r1
-    restricted = mc.operator_norm(G[:keep, :keep]) if keep > 0 else float("nan")
+    keep = (dil.N + 1 - q_eff) * r1
+    restricted = mc.operator_norm(BD[q_eff * r1:]) ** 2 if keep > 0 else float("nan")
     return MPsiIsometryReport(raw=raw, restricted=restricted, q_eff=q_eff)

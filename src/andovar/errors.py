@@ -44,7 +44,15 @@ class NotPSDError(ValidationError):
 
 
 class NumericError(AndovarError):
-    """A numerical routine failed (non-convergence, fatal conditioning)."""
+    """A numerical routine failed (non-convergence, fatal conditioning).
+
+    Carries a ``details`` dict with the measured quantities, like
+    :class:`ValidationError`.
+    """
+
+    def __init__(self, message: str, **details):
+        super().__init__(message)
+        self.details = details
 
 
 class BoundaryPoleError(NumericError):

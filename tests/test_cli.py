@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import andovar.dilation
 from andovar import serialize
 from andovar.cli import main
 
@@ -154,6 +155,24 @@ class TestDilate:
     def test_bad_truncation_exits_1(self, zero_pair_file, capsys):
         code, _, _ = run(["dilate", zero_pair_file, "--truncation", "soon"], capsys)
         assert code == 1
+
+
+class TestDilateDumpLimit:
+    def test_dump_past_the_row_limit_exits_1(self, zero_pair_file, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.setattr(andovar.dilation, "DENSE_ROWS_MAX", 9)
+        dump = tmp_path / "ops.json"
+        code, out, err = run(
+            ["dilate", zero_pair_file, "--truncation", "4", "--dump", str(dump)],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert "10 rows" in err
+        assert not dump.exists()
+        # without --dump the same dilation needs no dense operator
+        code, out, _ = run(["dilate", zero_pair_file, "--truncation", "4"], capsys)
+        assert code == 0
+        assert json.loads(out)["rows"] == 10
 
 
 class TestGen:

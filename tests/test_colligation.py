@@ -49,6 +49,19 @@ class TestClosedForms:
         np.testing.assert_allclose(coll.A, np.eye(coll.r1), atol=1e-12)
 
 
+class TestInconsistentDefects:
+    def test_forced_rank_mismatch_is_a_numeric_error(self):
+        # T2 = 0 makes the forced range [0; E2* D2], which vanishes for the
+        # hand-made zero D2, while the forced domain keeps rank 1
+        pair = av.ContractionPair.create(np.array([[0.5]]), np.array([[0.0]]))
+        d1 = av.defect(pair.T1)
+        fake_d2 = av.DefectData(D=np.zeros((1, 1), complex),
+                                basis=np.ones((1, 1), complex), rank=1)
+        with pytest.raises(av.NumericError) as info:
+            av.build_colligation(pair, d1, fake_d2)
+        assert info.value.details == {"forced_rank": 1, "range_rank": 0}
+
+
 class TestInvariants:
     SUITE = make_suite(40)
 
