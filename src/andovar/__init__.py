@@ -18,7 +18,6 @@ from .errors import (
     ContractionError,
     DimensionMismatchError,
     InputError,
-    NotPSDError,
     NumericError,
     PurityError,
     ValidationError,
@@ -30,19 +29,23 @@ from .pair_analysis import (
     Tolerances,
     defect,
     generate_pair,
+    require_pure,
     truncation_degree,
     validate_pair,
 )
 from .transfer import (
+    Analysis,
     BoundaryScan,
     CanonicalSplit,
     TransferFunction,
     adjoint_transfer,
+    analyze,
     boundary_scan,
     canonical_split,
     check_no_unimodular_eigs,
     cnu_part,
     eval_tau,
+    eval_tau_many,
     forward_transfer,
     schur_identity_residual,
     split_residual,

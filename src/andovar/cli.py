@@ -18,7 +18,6 @@ import numpy as np
 
 from . import matrix_core as mc
 from . import serialize
-from .colligation import build_colligation
 from .dilation import (
     build_dilation,
     compression_residuals,
@@ -26,22 +25,16 @@ from .dilation import (
     minimality_defect,
     mpsi_isometry_residual,
 )
-from .errors import (
-    AndovarError,
-    InputError,
-    NumericError,
-    PurityError,
-    ValidationError,
-)
+from .errors import AndovarError, InputError, NumericError, ValidationError
 from .pair_analysis import (
     GENERATOR_KINDS,
     ContractionPair,
     Tolerances,
-    defect,
     generate_pair,
+    require_pure,
     validate_pair,
 )
-from .transfer import adjoint_transfer, boundary_scan, canonical_split
+from .transfer import analyze, boundary_scan
 from .variety import boundary_samples, sample_to_csv, sample_to_svg
 from .vn import (
     DEFAULT_N_THETA,
@@ -107,21 +100,16 @@ def _tol_options(fn):
     return fn
 
 
-def _require_pure_t1(pair: ContractionPair, tol: Tolerances):
-    rho = mc.spectral_radius(pair.T1)
-    if rho >= 1.0 - tol.pure:
-        raise PurityError(
-            "this command requires a pure T1 (spectral radius < 1)",
-            spectral_radius=rho,
-        )
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _read_pair(path: str, tol: Tolerances) -> ContractionPair:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            T1, T2 = serialize.pair_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read pair file {path}: {exc}") from exc
+    T1, T2 = serialize.pair_from_json(_read_text(path, "pair"))
     return ContractionPair.create(T1, T2, tol)
 
 
@@ -145,11 +133,7 @@ def cli():
 def check(pair_file, **params):
     """Validate a pair file; print the analysis report as JSON."""
     tol = _tolerances(params)
-    try:
-        with open(pair_file, "r", encoding="utf-8") as fh:
-            T1, T2 = serialize.pair_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read pair file {pair_file}: {exc}") from exc
+    T1, T2 = serialize.pair_from_json(_read_text(pair_file, "pair"))
     report = validate_pair(T1, T2, tol)
     click.echo(serialize.dumps(report.to_dict()), nl=False)
 
@@ -160,11 +144,7 @@ def check(pair_file, **params):
 @_tol_options
 def colligation(pair_file, output, **params):
     """Build the canonical unitary colligation; emit blocks and bases."""
-    tol = _tolerances(params)
-    pair = _read_pair(pair_file, tol)
-    d1 = defect(pair.T1, tol.rank)
-    d2 = defect(pair.T2, tol.rank)
-    coll = build_colligation(pair, d1, d2)
+    coll = analyze(_read_pair(pair_file, _tolerances(params))).coll
     payload = coll.to_dict()
     payload["unitarity_residual"] = coll.unitarity_residual()
     _write_output(serialize.dumps(payload), output)
@@ -180,14 +160,11 @@ def colligation(pair_file, output, **params):
 @_tol_options
 def variety(pair_file, theta_samples, output, fmt, **params):
     """Sample the variety boundary; write CSV or a static scatter SVG."""
-    tol = _tolerances(params)
-    pair = _read_pair(pair_file, tol)
-    _require_pure_t1(pair, tol)
-    d1 = defect(pair.T1, tol.rank)
-    d2 = defect(pair.T2, tol.rank)
-    coll = build_colligation(pair, d1, d2)
-    split = canonical_split(mc.adjoint(coll.A), tol_pure=tol.pure)
-    sample = boundary_samples(coll, split, theta_samples)
+    pair = _read_pair(pair_file, _tolerances(params))
+    require_pure(pair.T1, pair.tol.pure,
+                 "this command requires a pure T1 (spectral radius < 1)")
+    analysis = analyze(pair)
+    sample = boundary_samples(analysis.coll, analysis.split, theta_samples)
     render = sample_to_csv if fmt == "csv" else sample_to_svg
     _write_output(render(sample), output)
     n_v0 = sum(1 for k in sample.kinds if k == "V0")
@@ -209,14 +186,8 @@ def variety(pair_file, theta_samples, output, fmt, **params):
 @_tol_options
 def vn(pair_file, poly_file, theta_samples, torus_grid, output, **params):
     """Certify the norm chain for a polynomial; emit the report as JSON."""
-    tol = _tolerances(params)
-    pair = _read_pair(pair_file, tol)
-    try:
-        with open(poly_file, "r", encoding="utf-8") as fh:
-            coeffs = serialize.poly_from_json(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read polynomial file {poly_file}: {exc}") from exc
-    p = BivariatePolynomial(coeffs)
+    pair = _read_pair(pair_file, _tolerances(params))
+    p = BivariatePolynomial(serialize.poly_from_json(_read_text(poly_file, "polynomial")))
     report = vn_report(pair, p, n_theta=theta_samples, torus_grid=torus_grid)
     _write_output(serialize.dumps(report.to_dict()), output)
 
@@ -232,9 +203,8 @@ def dilate(pair_file, truncation, dump, **params):
     """Build the truncated dilation; print residuals and bounds as JSON."""
     tol = _tolerances(params)
     pair = _read_pair(pair_file, tol)
-    d1 = defect(pair.T1, tol.rank)
-    d2 = defect(pair.T2, tol.rank)
-    coll = build_colligation(pair, d1, d2)
+    analysis = analyze(pair)
+    coll = analysis.coll
     if truncation == "auto":
         N = None
     else:
@@ -242,7 +212,7 @@ def dilate(pair_file, truncation, dump, **params):
             N = int(truncation)
         except ValueError:
             raise click.UsageError("--truncation must be 'auto' or an integer")
-    dil = build_dilation(pair, coll, d1, N=N, tol_trunc=tol.trunc, tol_pure=tol.pure)
+    dil = build_dilation(pair, coll, analysis.d1, N=N, tol_trunc=tol.trunc, tol_pure=tol.pure)
     # assembled before any output: past the dense row limit this raises
     # InputError and the command prints nothing
     dense = {"Pi": dil.Pi, "Mz": dil.Mz, "MPsi": dil.MPsi} if dump else None
@@ -300,16 +270,13 @@ def demo(name, m):
         raise click.UsageError("--m must be >= 1")
     Z = np.zeros((m, m), complex)
     pair = ContractionPair.create(Z, Z)
-    d1 = defect(pair.T1)
-    d2 = defect(pair.T2)
-    coll = build_colligation(pair, d1, d2)
-    split = canonical_split(mc.adjoint(coll.A))
-    psi = adjoint_transfer(coll)
-    sample = boundary_samples(coll, split, 90)
+    analysis = analyze(pair)
+    coll = analysis.coll
+    sample = boundary_samples(coll, analysis.split, 90)
     max_diag_dev = max(abs(z2 - z1) for z1, z2 in sample.points)
     p = BivariatePolynomial(np.array([[0, -1], [1, 0]], complex))  # z1 - z2
-    report = vn_report(pair, p, coll=coll, split=split)
-    scan = boundary_scan(psi, 90)
+    report = vn_report(pair, p)
+    scan = boundary_scan(analysis.psi, 90)
     payload = {
         "m": m,
         "colligation": {

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrix_core as mc
-from .errors import NumericError, PurityError, ValidationError
-from .pair_analysis import ContractionPair, DefectData
+from .errors import NumericError, ValidationError
+from .pair_analysis import ContractionPair, DefectData, require_pure
 
 __all__ = ["Colligation", "build_colligation", "defect_series_residuals"]
 
@@ -215,9 +215,7 @@ def defect_series_residuals(pair: ContractionPair, coll: Colligation,
     since the series only converges when T1*^m h dies out.
     """
     T1 = pair.T1
-    rho = mc.spectral_radius(T1)
-    if rho >= 1.0 - tol_pure:
-        raise PurityError("series residuals require a pure T1", spectral_radius=rho)
+    require_pure(T1, tol_pure, "series residuals require a pure T1")
     h = np.asarray(h, dtype=complex).reshape(-1)
     E1 = d1.basis
     target = mc.adjoint(E1) @ d1.D @ mc.adjoint(pair.T2) @ h

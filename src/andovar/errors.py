@@ -39,10 +39,6 @@ class PurityError(ValidationError):
     """An operation that needs a pure contraction received a non-pure one."""
 
 
-class NotPSDError(ValidationError):
-    """Matrix expected to be positive semidefinite has a negative eigenvalue."""
-
-
 class NumericError(AndovarError):
     """A numerical routine failed (non-convergence, fatal conditioning).
 

@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, NotPSDError, NumericError
+from .errors import InputError, NumericError
 
 __all__ = [
     "as_matrix",
     "adjoint",
     "operator_norm",
     "spectral_radius",
-    "psd_sqrt",
     "herm_eig",
     "eig",
     "eigvals",
     "svd",
-    "lstsq",
     "matrix_power_norm",
     "polar_unitary",
     "phase_fix_columns",
@@ -144,15 +142,20 @@ def eig(M):
 
 
 def eigvals(M) -> np.ndarray:
-    """Deterministically ordered eigenvalues (ascending by real, then imag)."""
-    A = as_matrix(M)
+    """Deterministically ordered eigenvalues (ascending by real, then imag).
+
+    A stack of matrices, shape (m, r, r), gives one ordered row per matrix.
+    """
+    A = np.asarray(M, dtype=complex)
+    if A.ndim != 3:
+        A = as_matrix(M)
     if A.size == 0:
-        return np.zeros(0, complex)
+        return np.zeros(A.shape[:-1], complex)
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
-    return w[np.lexsort((w.imag, w.real))]
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)
 
 
 def svd(M, full_matrices: bool = False):
@@ -169,36 +172,6 @@ def svd(M, full_matrices: bool = False):
     if full_matrices and Vh.shape[0] > k:
         Vh[k:, :] = phase_fix_columns(Vh[k:, :].conj().T).conj().T
     return U, s, Vh
-
-
-def lstsq(A, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of A x = b."""
-    A = as_matrix(A, "lstsq lhs")
-    B = np.asarray(b, dtype=complex)
-    try:
-        x, *_ = np.linalg.lstsq(A, B, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"least-squares solve failed: {exc}") from exc
-    return x
-
-
-def psd_sqrt(M, tol: float = 1e-10) -> np.ndarray:
-    """Hermitian PSD square root.
-
-    Eigenvalues in [-tol, 0) are clamped to 0; an eigenvalue below -tol
-    raises :class:`NotPSDError`.
-    """
-    A = as_matrix(M)
-    w, V = herm_eig(A, tol=max(tol, 1e-12))
-    if w.size and w[0] < -tol:
-        raise NotPSDError(
-            "matrix is not positive semidefinite within tolerance",
-            min_eigenvalue=float(w[0]),
-            tol=tol,
-        )
-    w = np.clip(w, 0.0, None)
-    R = (V * np.sqrt(w)) @ adjoint(V)
-    return 0.5 * (R + adjoint(R))
 
 
 def matrix_power_norm(T, k: int) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "validate_pair",
     "defect",
     "truncation_degree",
+    "require_pure",
     "generate_pair",
     "GENERATOR_KINDS",
     "TRUNCATION_CAP",
@@ -57,6 +58,15 @@ class Tolerances:
 
     def commute_for(self, dim: int) -> float:
         return self.commute if self.commute is not None else 1e-10 * dim
+
+    def defect_slack(self) -> float:
+        """How far below zero the eigenvalues of I - T T* may lie for a T
+        accepted as a contraction.
+
+        ||T|| <= 1 + eps keeps them above -(2 eps + eps^2), with
+        eps = ``contract``.
+        """
+        return max(self.contract, 2.0 * self.contract + self.contract ** 2)
 
     def halved(self) -> "Tolerances":
         """Strict mode: every tolerance halved."""
@@ -148,10 +158,8 @@ def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
             )
     radii = (mc.spectral_radius(A), mc.spectral_radius(B))
     pure = tuple(r < 1.0 - tol.pure for r in radii)
-    # ||T|| <= 1 + eps keeps eigenvalues of I - T T* above -(2 eps + eps^2)
-    defect_tol = max(tol.contract, 2.0 * tol.contract + tol.contract ** 2)
-    ranks = (defect(A, tol.rank, defect_tol).rank,
-             defect(B, tol.rank, defect_tol).rank)
+    ranks = (defect(A, tol.rank, tol.defect_slack()).rank,
+             defect(B, tol.rank, tol.defect_slack()).rank)
     return PairReport(
         commute_residual=commute_res,
         norms=norms,
@@ -189,6 +197,14 @@ def defect(T, rank_tol: float = 1e-10, contract_tol: float = 1e-10) -> DefectDat
     return DefectData(D=D, basis=basis, rank=rank)
 
 
+def require_pure(T, tol_pure: float, message: str) -> None:
+    """Raise :class:`PurityError` unless the spectral radius of T is below
+    1 - tol_pure."""
+    rho = mc.spectral_radius(T)
+    if rho >= 1.0 - tol_pure:
+        raise PurityError(message, spectral_radius=rho)
+
+
 def truncation_degree(T1, tol_trunc: float = 1e-9, tol_pure: float = 1e-8,
                       cap: int = TRUNCATION_CAP) -> int:
     """Smallest N with ||T1*^N|| < tol_trunc, capped at ``cap``.
@@ -197,13 +213,9 @@ def truncation_degree(T1, tol_trunc: float = 1e-9, tol_pure: float = 1e-8,
     power below tolerance (||T^k|| is nonincreasing in k for contractions).
     """
     A = mc.as_matrix(T1, "T1")
-    rho = mc.spectral_radius(A)
-    if rho >= 1.0 - tol_pure:
-        raise PurityError(
-            "T1 is not pure (spectral radius too close to 1); "
-            "the dilation construction requires a pure first entry",
-            spectral_radius=rho,
-        )
+    require_pure(A, tol_pure,
+                 "T1 is not pure (spectral radius too close to 1); "
+                 "the dilation construction requires a pure first entry")
     if mc.matrix_power_norm(A, 1) < tol_trunc:
         return 1
     hi = 1

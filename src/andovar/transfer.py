@@ -15,19 +15,22 @@ colligation on the c.n.u. subspace.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix_core as mc
-from .colligation import Colligation
+from .colligation import Colligation, build_colligation
 from .errors import BoundaryPoleError, InputError, NumericError, ValidationError
+from .pair_analysis import ContractionPair, DefectData, defect
 
 __all__ = [
     "TransferFunction",
     "forward_transfer",
     "adjoint_transfer",
     "eval_tau",
+    "eval_tau_many",
     "schur_identity_residual",
     "CanonicalSplit",
     "canonical_split",
@@ -36,9 +39,14 @@ __all__ = [
     "check_no_unimodular_eigs",
     "boundary_scan",
     "taylor_symbols",
+    "Analysis",
+    "analyze",
 ]
 
 _COND_LIMIT = 1e14
+# points per stacked evaluation; stacking whole 720-point grids at dims
+# 16-32 raised peak RSS from 65 to 98 MB
+_EVAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -70,6 +78,51 @@ def adjoint_transfer(coll: Colligation) -> TransferFunction:
     )
 
 
+def _eval_chunk(tf: TransferFunction, z: np.ndarray):
+    """tau at the points z that are not poles, and cond(I - z_i D) at all.
+
+    A point is a pole when the 2-norm condition number of I - z D is not
+    finite or exceeds ``_COND_LIMIT``; the values are formed as
+    A + (z B) S with S = (I - z D)^{-1} C, one stacked solve for the chunk.
+    """
+    k = tf.D.shape[0]
+    if k == 0:
+        return np.repeat(tf.A[None], z.size, axis=0), np.ones(z.size)
+    R = np.eye(k) - z[:, None, None] * tf.D
+    try:
+        s = np.linalg.svd(R, compute_uv=False)
+        cond = np.divide(s[:, 0], s[:, -1], out=np.full(z.size, np.inf),
+                         where=s[:, -1] > 0)
+        ok = cond <= _COND_LIMIT
+        # C[None] is a stack of one matrix; numpy < 2 reads a 2-d right-hand
+        # side against a 3-d stack as a stack of vectors
+        S = np.linalg.solve(R[ok], tf.C[None])
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"resolvent evaluation failed: {exc}") from exc
+    return tf.A + (z[ok, None, None] * tf.B) @ S, cond
+
+
+def eval_tau_many(tf: TransferFunction, z, reduce):
+    """Evaluate the transfer function at every point of z, |z_i| <= 1.
+
+    The points are taken in chunks of ``_EVAL_CHUNK``; ``reduce`` maps each
+    chunk's stack of values, shape (m, dim, dim), to the rows the caller
+    keeps (eigenvalues, singular values, or the values themselves).
+    Returns the reduced rows of the non-pole points, in order, and the
+    boolean mask of the poles (see :func:`eval_tau`).
+    """
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if z.size and np.max(np.abs(z)) > 1.0 + 1e-12:
+        raise InputError("transfer function evaluated outside the closed disc: "
+                         f"|z|={np.max(np.abs(z))}")
+    rows, poles = [], []
+    for start in range(0, max(z.size, 1), _EVAL_CHUNK):
+        values, cond = _eval_chunk(tf, z[start:start + _EVAL_CHUNK])
+        rows.append(reduce(values))
+        poles.append(~(cond <= _COND_LIMIT))
+    return np.concatenate(rows), np.concatenate(poles)
+
+
 def eval_tau(tf: TransferFunction, z: complex) -> np.ndarray:
     """Evaluate the transfer function at |z| <= 1.
 
@@ -80,20 +133,12 @@ def eval_tau(tf: TransferFunction, z: complex) -> np.ndarray:
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:
         raise InputError(f"transfer function evaluated outside the closed disc: |z|={abs(z)}")
-    k = tf.D.shape[0]
-    if k == 0:
-        return tf.A.copy()
-    R = np.eye(k) - z * tf.D
-    cond = np.linalg.cond(R)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
+    values, cond = _eval_chunk(tf, np.array([z]))
+    if not len(values):
         raise BoundaryPoleError(
-            f"resolvent numerically singular at z={z} (cond={cond:.3e})", z=z, cond=cond
-        )
-    try:
-        S = np.linalg.solve(R, tf.C)
-    except np.linalg.LinAlgError as exc:
-        raise BoundaryPoleError(f"resolvent solve failed at z={z}", z=z, cond=cond) from exc
-    return tf.A + z * tf.B @ S
+            f"resolvent numerically singular at z={z} (cond={cond[0]:.3e})",
+            z=z, cond=float(cond[0]))
+    return values[0]
 
 
 def schur_identity_residual(tf: TransferFunction, z: complex) -> float:
@@ -247,28 +292,16 @@ def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
     """
     if n_theta < 1:
         raise InputError("n_theta must be >= 1")
-    thetas, smin, smax, skipped = [], [], [], []
-    for j in range(n_theta):
-        theta = 2.0 * np.pi * j / n_theta
-        try:
-            val = eval_tau(tf, np.exp(1j * theta))
-        except BoundaryPoleError:
-            skipped.append(theta)
-            continue
-        if val.size == 0:
-            thetas.append(theta)
-            smin.append(1.0)
-            smax.append(1.0)
-            continue
-        s = np.linalg.svd(val, compute_uv=False)
-        thetas.append(theta)
-        smin.append(float(s[-1]))
-        smax.append(float(s[0]))
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    s, poles = eval_tau_many(
+        tf, np.exp(1j * thetas),
+        lambda values: (np.linalg.svd(values, compute_uv=False) if tf.dim
+                        else np.ones((len(values), 1))))
     return BoundaryScan(
-        thetas=np.asarray(thetas),
-        sigma_min=np.asarray(smin),
-        sigma_max=np.asarray(smax),
-        skipped=skipped,
+        thetas=thetas[~poles],
+        sigma_min=s[:, -1],
+        sigma_max=s[:, 0],
+        skipped=thetas[poles].tolist(),
     )
 
 
@@ -289,3 +322,38 @@ def taylor_symbols(tf: TransferFunction, count: int) -> list[np.ndarray]:
         out.append(tf.B @ acc)
         acc = tf.D @ acc
     return out
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """A validated pair with its defect data and colligation.
+
+    The canonical split of A* and the multiplier Psi are computed on first
+    access, so commands that need only the colligation never fail inside
+    :func:`canonical_split`.
+    """
+
+    pair: ContractionPair
+    d1: DefectData
+    d2: DefectData
+    coll: Colligation
+
+    @functools.cached_property
+    def split(self) -> CanonicalSplit:
+        return canonical_split(mc.adjoint(self.coll.A), tol_pure=self.pair.tol.pure)
+
+    @functools.cached_property
+    def psi(self) -> TransferFunction:
+        return adjoint_transfer(self.coll)
+
+
+def analyze(pair: ContractionPair) -> Analysis:
+    """pair -> defects -> colligation, under the pair's tolerances.
+
+    The defects accept I - T T* down to the same negative eigenvalue that
+    validation accepted, so every validated pair gets its defect data.
+    """
+    tol = pair.tol
+    d1 = defect(pair.T1, tol.rank, tol.defect_slack())
+    d2 = defect(pair.T2, tol.rank, tol.defect_slack())
+    return Analysis(pair, d1, d2, build_colligation(pair, d1, d2))

@@ -10,15 +10,23 @@ determinant magnitude, which keeps tolerances dimension-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matrix_core as mc
-from .colligation import Colligation, build_colligation
-from .errors import BoundaryPoleError, InputError, NumericError, PurityError
-from .pair_analysis import ContractionPair, defect
-from .transfer import CanonicalSplit, TransferFunction, adjoint_transfer, canonical_split, cnu_part
+from .colligation import Colligation
+from .errors import InputError, NumericError
+from .pair_analysis import ContractionPair, require_pure
+from .transfer import (
+    CanonicalSplit,
+    TransferFunction,
+    adjoint_transfer,
+    analyze,
+    cnu_part,
+    eval_tau,
+    eval_tau_many,
+)
 
 __all__ = [
     "VarietySample",
@@ -79,27 +87,30 @@ def membership_residual(coll: Colligation, split: CanonicalSplit,
 
 def boundary_samples(coll: Colligation, split: CanonicalSplit,
                      n_theta: int) -> VarietySample:
-    """Fibers over the unit circle; pole thetas are skipped and reported."""
+    """Fibers over the unit circle; pole thetas are skipped and reported.
+
+    Each fiber lists its V0 points, then its V1 points, each group ordered
+    by (real, imag).  The residual column is the distance from each point
+    to its own fiber, which is 0.0 by construction.
+    """
     if n_theta < 1:
         raise InputError("n_theta must be >= 1")
-    points, kinds, residuals = [], [], []
-    kept_thetas, skipped = [], []
-    for j in range(n_theta):
-        theta = 2.0 * np.pi * j / n_theta
-        z1 = np.exp(1j * theta)
-        try:
-            fiber = variety_fiber(coll, split, z1)
-        except BoundaryPoleError:
-            skipped.append(theta)
-            continue
-        kept_thetas.append(theta)
-        for z2, kind in fiber:
-            points.append((complex(z1), z2))
-            kinds.append(kind)
-            residuals.append(float(min(abs(z2 - f) for f, _ in fiber)))
+    if coll.r1 == 0:
+        raise NumericError(
+            "empty fiber: the first defect space is trivial (T1 unitary)"
+        )
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    z1 = np.exp(1j * thetas)
+    v1, poles = eval_tau_many(cnu_part(adjoint_transfer(coll), split), z1, mc.eigvals)
+    kept = ~poles
+    fibers = np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
+    width = fibers.shape[1]
     return VarietySample(
-        points=points, kinds=kinds, residuals=residuals,
-        theta_grid=np.asarray(kept_thetas), skipped_thetas=skipped,
+        points=list(zip(np.repeat(z1[kept], width).tolist(), fibers.ravel().tolist())),
+        kinds=(["V0"] * split.k + ["V1"] * (width - split.k)) * len(v1),
+        residuals=[0.0] * fibers.size,
+        theta_grid=thetas[kept],
+        skipped_thetas=thetas[poles].tolist(),
     )
 
 
@@ -148,17 +159,7 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
     return JointEigReport(entries=best_entries, failures=best_failures)
 
 
-def _pipeline(T1, T2, pair_tol):
-    pair = ContractionPair.create(T1, T2, pair_tol)
-    d1 = defect(pair.T1, pair.tol.rank)
-    d2 = defect(pair.T2, pair.tol.rank)
-    coll = build_colligation(pair, d1, d2)
-    split = canonical_split(mc.adjoint(coll.A), tol_pure=pair.tol.pure)
-    return coll, split
-
-
-def symmetry_residual(pair: ContractionPair, n_samples: int = 16,
-                      tol_pure: float = 1e-8) -> float:
+def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
     """Agreement of the variety with its swapped-pair counterpart.
 
     Samples fibers of Psi over random interior z1 and measures how far z1
@@ -167,24 +168,29 @@ def symmetry_residual(pair: ContractionPair, n_samples: int = 16,
     pure, the only case where the two constructions describe one variety.
     """
     for j, T in enumerate((pair.T1, pair.T2), start=1):
-        if mc.spectral_radius(T) >= 1.0 - tol_pure:
-            raise PurityError(f"symmetry check requires T{j} pure",
-                              spectral_radius=mc.spectral_radius(T))
-    coll, split = _pipeline(pair.T1, pair.T2, pair.tol)
-    coll_s, split_s = _pipeline(pair.T2, pair.T1, pair.tol)
-    psi = adjoint_transfer(coll)
-    psi_s = adjoint_transfer(coll_s)
+        require_pure(T, pair.tol.pure, f"symmetry check requires T{j} pure")
+    psi = analyze(pair).psi
+    psi_s = analyze(replace(pair, T1=pair.T2, T2=pair.T1)).psi
     rng = np.random.default_rng(_SYMMETRY_SEED)
     worst = 0.0
     for forward, backward in ((psi, psi_s), (psi_s, psi)):
-        for _ in range(n_samples):
-            z1 = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            for z2 in mc.eigvals(forward.eval(z1)):
-                back = mc.eigvals(backward.eval(z2))
-                if back.size == 0:
-                    raise NumericError("swapped multiplier has empty fiber")
-                worst = max(worst, float(np.min(np.abs(back - z1))))
+        u = rng.uniform(size=(n_samples, 2))
+        z1 = 0.95 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+        z2 = _interior_fibers(forward, z1)
+        if z2.size and not backward.dim:
+            raise NumericError("swapped multiplier has empty fiber")
+        back = _interior_fibers(backward, z2.ravel())
+        dist = np.min(np.abs(back - np.repeat(z1, z2.shape[1])[:, None]), axis=1)
+        worst = max(worst, float(np.max(dist, initial=0.0)))
     return worst
+
+
+def _interior_fibers(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
+    """Ordered eigenvalues of tf at each point of z; a pole is an error."""
+    fibers, poles = eval_tau_many(tf, z, mc.eigvals)
+    if poles.any():
+        eval_tau(tf, z[poles][0])  # raises BoundaryPoleError with its cond
+    return fibers
 
 
 # ---------------------------------------------------------------------------

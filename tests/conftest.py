@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import andovar as av
-import andovar.matrix_core as mc
 from andovar.pair_analysis import GENERATOR_KINDS
 
 
@@ -29,12 +28,8 @@ def make_suite(count: int, dims=(2, 3, 4, 5, 6, 7, 8), seed0: int = 0,
 
 def build_pipeline(T1, T2):
     """pair -> defects -> colligation -> split, with default tolerances."""
-    pair = av.ContractionPair.create(T1, T2)
-    d1 = av.defect(pair.T1, pair.tol.rank)
-    d2 = av.defect(pair.T2, pair.tol.rank)
-    coll = av.build_colligation(pair, d1, d2)
-    split = av.canonical_split(mc.adjoint(coll.A), tol_pure=pair.tol.pure)
-    return pair, d1, d2, coll, split
+    a = av.analyze(av.ContractionPair.create(T1, T2))
+    return a.pair, a.d1, a.d2, a.coll, a.split
 
 
 def random_unit_vectors(n: int, count: int, seed: int) -> np.ndarray:

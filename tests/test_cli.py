@@ -83,6 +83,21 @@ class TestColligation:
         assert data["unitarity_residual"] <= 1e-12
 
 
+class TestToleranceContract:
+    def test_validated_pair_reaches_the_colligation(self, tmp_path, capsys):
+        # ||T1|| exceeds 1 by less than --tol-contract
+        f = write_pair(tmp_path / "p.json", np.diag([1 + 0.9e-10, 0.3]),
+                       np.diag([0.2, 0.1]))
+        assert run(["check", f], capsys)[0] == 0
+        code, out, _ = run(["colligation", f], capsys)
+        assert code == 0
+        assert json.loads(out)["unitarity_residual"] <= 1e-12
+        # T1 is not pure, which the dilation reports as a PurityError
+        code, out, _ = run(["dilate", f], capsys)
+        assert code == 2
+        assert "spectral_radius" in json.loads(out)["details"]
+
+
 class TestVariety:
     def test_zero_pair_diagonal_rows(self, zero_pair_file, tmp_path, capsys):
         out_csv = tmp_path / "variety.csv"

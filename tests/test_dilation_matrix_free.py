@@ -69,6 +69,7 @@ class TestDenseOracle:
             else:
                 assert abs(got[name] - value) <= ORACLE_ATOL, (name, got[name], value)
         assert av.minimality_defect(dil) == dense_minimality_defect(dil)
+        assert comp.bound_t2 == dil.tail_bound ** 2 + inter.res_psi
 
     def test_dense_assembly_refuses_past_the_row_limit(self, monkeypatch, zero_pair_m2):
         pair, d1, d2, coll, _ = zero_pair_m2

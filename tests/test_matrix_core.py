@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import andovar.matrix_core as mc
-from andovar.errors import InputError, NotPSDError
+from andovar.errors import InputError
 
 
-def _random_matrix(n, seed, hermitian=False, psd=False, unitary=False):
+def _random_matrix(n, seed, hermitian=False, unitary=False):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    if psd:
-        return A @ A.conj().T / n
     if hermitian:
         return 0.5 * (A + A.conj().T)
     if unitary:
@@ -47,36 +45,6 @@ class TestOperatorNorm:
         U = _random_matrix(n, seed + 1, unitary=True)
         assert mc.operator_norm(U @ M) == pytest.approx(
             mc.operator_norm(M), abs=1e-10)
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(mc.psd_sqrt(np.eye(2)), np.eye(2), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            mc.psd_sqrt(np.diag([4.0, 0.0])), np.diag([2.0, 0.0]), atol=1e-14)
-
-    def test_scalar_three_quarters(self):
-        R = mc.psd_sqrt(np.array([[0.75]]))
-        assert R[0, 0] == pytest.approx(0.8660254037844386, abs=1e-12)
-
-    def test_small_negative_clamped(self):
-        R = mc.psd_sqrt(np.diag([1.0, -1e-12]), tol=1e-10)
-        assert R[1, 1] == pytest.approx(0.0, abs=1e-6)
-
-    def test_rejects_negative(self):
-        with pytest.raises(NotPSDError):
-            mc.psd_sqrt(np.diag([1.0, -1e-3]), tol=1e-10)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(1, 32), st.integers(0, 10**6))
-    def test_square_roundtrip(self, n, seed):
-        M = _random_matrix(n, seed, psd=True)
-        R = mc.psd_sqrt(M)
-        scale = max(1.0, mc.operator_norm(M))
-        assert mc.operator_norm(R @ R - M) <= 1e-8 * scale
-        assert mc.operator_norm(R - R.conj().T) <= 1e-10 * scale
 
 
 class TestHermEig:
@@ -135,13 +103,6 @@ class TestSvd:
         U, s, Vh = mc.svd(A, full_matrices=True)
         assert U.shape == (4, 4)
         np.testing.assert_allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
-
-
-class TestLstsq:
-    def test_exact_solve(self):
-        A = _random_matrix(4, 9)
-        x = np.arange(4) + 1j
-        np.testing.assert_allclose(mc.lstsq(A, A @ x), x, atol=1e-10)
 
 
 class TestHelpers:

@@ -7,8 +7,15 @@ import pytest
 
 import andovar as av
 import andovar.matrix_core as mc
-from andovar.errors import InputError, PurityError
-from andovar.vn import BivariatePolynomial, sup_on_bidisc, sup_on_variety, vn_report
+import andovar.vn
+from andovar.errors import ChainViolationError, InputError, PurityError
+from andovar.vn import (
+    BivariatePolynomial,
+    SupEstimate,
+    sup_on_bidisc,
+    sup_on_variety,
+    vn_report,
+)
 
 from conftest import build_pipeline, make_suite
 
@@ -146,6 +153,20 @@ class TestReport:
     def test_requires_pure_t1(self):
         pair = av.ContractionPair.create(np.eye(2), np.zeros((2, 2)))
         with pytest.raises(PurityError):
+            vn_report(pair, P_Z1_PLUS_Z2)
+
+    def test_torus_inequality_uses_the_torus_slack(self, monkeypatch):
+        J = np.array([[0, 0.5], [0, 0]], complex)
+        pair = av.ContractionPair.create(J, J)
+        rep = vn_report(pair, P_Z1_PLUS_Z2)
+        torus_slack = sup_on_bidisc(P_Z1_PLUS_Z2).slack
+        assert torus_slack < rep.slack
+        # below sup_variety by more than the torus slack, less than the
+        # variety slack
+        fake = SupEstimate(value=rep.sup_variety - 0.5 * (torus_slack + rep.slack),
+                           slack=torus_slack, grid=512)
+        monkeypatch.setattr(andovar.vn, "sup_on_bidisc", lambda p, n_grid: fake)
+        with pytest.raises(ChainViolationError):
             vn_report(pair, P_Z1_PLUS_Z2)
 
     def test_classical_two_variable_bound(self):
