@@ -206,16 +206,16 @@ class SeriesReport:
 
 
 def defect_series_residuals(pair: ContractionPair, coll: Colligation,
-                            d1: DefectData, h: np.ndarray, m_max: int,
-                            tol_pure: float = 1e-8) -> SeriesReport:
+                            d1: DefectData, h: np.ndarray, m_max: int) -> SeriesReport:
     """Residuals of D1 T2* h against the strongly convergent series
     A D1 h + sum_n B D^n C D1 T1*^(n+1) h, truncated at m = 0..m_max.
 
     All quantities are taken in defect coordinates.  Requires T1 pure,
-    since the series only converges when T1*^m h dies out.
+    since the series only converges when T1*^m h dies out; purity is
+    judged by the pair's own tolerance.
     """
     T1 = pair.T1
-    require_pure(T1, tol_pure, "series residuals require a pure T1")
+    require_pure(T1, pair.tol.pure, "series residuals require a pure T1")
     h = np.asarray(h, dtype=complex).reshape(-1)
     E1 = d1.basis
     target = mc.adjoint(E1) @ d1.D @ mc.adjoint(pair.T2) @ h

@@ -29,6 +29,7 @@ power norms ||T1*^k|| and the symbol decay, never an assumed one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ __all__ = [
 
 # largest row count for which Mz and MPsi are assembled densely
 DENSE_ROWS_MAX = 100_000
+# symbol envelope below which mpsi_isometry_residual counts the symbols as
+# decayed
+_SYMBOL_TOL = 1e-5
 
 
 def _block_toeplitz(symbols: np.ndarray) -> np.ndarray:
@@ -101,6 +105,17 @@ class TruncatedDilation:
         """Dense block Toeplitz multiplier, assembled on each access."""
         return _block_toeplitz(self.symbols)
 
+    @functools.cached_property
+    def mpsi_adjoint_pi(self) -> np.ndarray:
+        """MPsi* Pi, whose block k is the correlation sum_q Psi_q* Pi_(k+q)."""
+        r1 = self.r1
+        # row of adjoint symbols [Psi_0*, Psi_1*, ..., Psi_N*]
+        adj_row = self.symbols.conj().transpose(2, 0, 1).reshape(r1, -1)
+        out = np.empty_like(self.Pi)
+        for k in range(self.N + 1):
+            out[k * r1:(k + 1) * r1] = adj_row[:, :self.rows - k * r1] @ self.Pi[k * r1:]
+        return out
+
 
 def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
                    N: int | None = None, tol_trunc: float = 1e-9,
@@ -142,17 +157,6 @@ def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
     )
 
 
-def _mpsi_adjoint_pi(dil: TruncatedDilation) -> np.ndarray:
-    """MPsi* Pi, whose block k is the correlation sum_q Psi_q* Pi_(k+q)."""
-    r1 = dil.r1
-    # row of adjoint symbols [Psi_0*, Psi_1*, ..., Psi_N*]
-    adj_row = dil.symbols.conj().transpose(2, 0, 1).reshape(r1, -1)
-    out = np.empty_like(dil.Pi)
-    for k in range(dil.N + 1):
-        out[k * r1:(k + 1) * r1] = adj_row[:, :dil.rows - k * r1] @ dil.Pi[k * r1:]
-    return out
-
-
 @dataclass(frozen=True)
 class IntertwiningReport:
     res_z: float
@@ -171,7 +175,7 @@ def intertwining_residuals(dil: TruncatedDilation, pair: ContractionPair) -> Int
     mz_adj_pi = np.zeros_like(dil.Pi)
     mz_adj_pi[:dil.rows - dil.r1] = dil.Pi[dil.r1:]
     res_z = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T1) - mz_adj_pi)
-    res_psi = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T2) - _mpsi_adjoint_pi(dil))
+    res_psi = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T2) - dil.mpsi_adjoint_pi)
     return IntertwiningReport(
         res_z=res_z,
         res_psi=res_psi,
@@ -191,7 +195,7 @@ class CompressionReport:
 def compression_residuals(dil: TruncatedDilation, pair: ContractionPair) -> CompressionReport:
     """How well Pi* Mz Pi and Pi* MPsi Pi recover T1 and T2."""
     Pi, r1 = dil.Pi, dil.r1
-    mpsi_adj_pi = _mpsi_adjoint_pi(dil)
+    mpsi_adj_pi = dil.mpsi_adjoint_pi
     pi_mz_pi = mc.adjoint(Pi[r1:]) @ Pi[:dil.rows - r1]
     pi_mpsi_pi = mc.adjoint(mpsi_adj_pi) @ Pi
     res_t1 = mc.operator_norm(pi_mz_pi - pair.T1)
@@ -206,7 +210,7 @@ def compression_residuals(dil: TruncatedDilation, pair: ContractionPair) -> Comp
     )
 
 
-def minimality_defect(dil: TruncatedDilation, rank_tol: float | None = None) -> int:
+def minimality_defect(dil: TruncatedDilation) -> int:
     """(N+1) r1 minus the numeric rank of K = [Pi, Mz Pi, ..., Mz^N Pi].
 
     Zero means the shifted copies of ran(Pi) fill the truncated space, the
@@ -218,19 +222,12 @@ def minimality_defect(dil: TruncatedDilation, rank_tol: float | None = None) -> 
     column from the last, y_N = 0, y_(N-1) = 0, ..., y_0 = 0, so K has full
     row rank (N+1) r1.  G has full row rank by construction (E1 is a basis
     of ran D1), so the defect is structurally zero; numerically it is
-    (N+1) (r1 - rank G).  ``rank_tol``, when given, is relative to the
-    largest singular value of G; otherwise numpy's default rank threshold
-    applies.
+    (N+1) (r1 - rank G), with numpy's default rank threshold.
     """
     G = dil.Pi[:dil.r1]
     if G.size == 0:
         return dil.rows
-    if rank_tol is None:
-        rank = np.linalg.matrix_rank(G)
-    else:
-        s = np.linalg.svd(G, compute_uv=False)
-        rank = int(np.sum(s > rank_tol * s[0]))
-    return dil.rows - (dil.N + 1) * int(rank)
+    return dil.rows - (dil.N + 1) * int(np.linalg.matrix_rank(G))
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,7 @@ class MPsiIsometryReport:
     q_eff: int
 
 
-def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation,
-                           sym_tol: float = 1e-5) -> MPsiIsometryReport:
+def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation) -> MPsiIsometryReport:
     """Deviation of MPsi from an isometry, raw and tail-restricted.
 
     The raw residual ||MPsi* MPsi - I|| always carries the chopped Toeplitz
@@ -249,7 +245,7 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation,
     (N + 1 - q_eff) coefficient blocks, where q_eff is the symbol-decay
     horizon read off the power norms of the D-block; there the isometry
     identity holds up to the decayed tail, which is quadratic in the symbol
-    envelope (hence the loose default for ``sym_tol``).  If the symbols do
+    envelope (hence the loose ``_SYMBOL_TOL``).  If the symbols do
     not decay inside the truncation window the restricted residual is NaN.
 
     Neither norm needs MPsi.  With Psi_q = C* D*^(q-1) B* for q >= 1, the
@@ -278,7 +274,7 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation,
     q_eff = dil.N + 1
     power = np.eye(Dstar.shape[0], dtype=complex)
     for q in range(1, dil.N + 2):
-        if bc * mc.operator_norm(power) <= sym_tol:
+        if bc * mc.operator_norm(power) <= _SYMBOL_TOL:
             q_eff = q
             break
         power = Dstar @ power

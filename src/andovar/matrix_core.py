@@ -30,6 +30,9 @@ __all__ = [
     "phase_fix_columns",
 ]
 
+# relative size of M - M* that herm_eig still treats as Hermitian
+_HERMITIAN_TOL = 1e-10
+
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex128 array and reject non-finite entries."""
@@ -96,12 +99,12 @@ def phase_fix_columns(U: np.ndarray, Vh: np.ndarray | None = None):
     return U if Vh is None else (U, Vh)
 
 
-def herm_eig(M, tol: float = 1e-10):
+def herm_eig(M):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, V)`` with real eigenvalues ascending and orthonormal,
     phase-fixed eigenvector columns.  Raises if M is not Hermitian within
-    ``tol * max(1, ||M||)``.
+    ``_HERMITIAN_TOL * max(1, ||M||)``.
     """
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
@@ -109,7 +112,7 @@ def herm_eig(M, tol: float = 1e-10):
     if A.size == 0:
         return np.zeros(0), np.zeros((0, 0), complex)
     scale = max(1.0, float(np.abs(A).max()) * A.shape[0])
-    if operator_norm(A - adjoint(A)) > tol * scale:
+    if operator_norm(A - adjoint(A)) > _HERMITIAN_TOL * scale:
         raise InputError("herm_eig input is not Hermitian within tolerance")
     try:
         w, V = np.linalg.eigh(0.5 * (A + adjoint(A)))

@@ -205,9 +205,8 @@ def require_pure(T, tol_pure: float, message: str) -> None:
         raise PurityError(message, spectral_radius=rho)
 
 
-def truncation_degree(T1, tol_trunc: float = 1e-9, tol_pure: float = 1e-8,
-                      cap: int = TRUNCATION_CAP) -> int:
-    """Smallest N with ||T1*^N|| < tol_trunc, capped at ``cap``.
+def truncation_degree(T1, tol_trunc: float = 1e-9, tol_pure: float = 1e-8) -> int:
+    """Smallest N with ||T1*^N|| < tol_trunc, capped at ``TRUNCATION_CAP``.
 
     Brackets N by repeated squaring, then binary-searches for the smallest
     power below tolerance (||T^k|| is nonincreasing in k for contractions).
@@ -221,15 +220,13 @@ def truncation_degree(T1, tol_trunc: float = 1e-9, tol_pure: float = 1e-8,
     hi = 1
     while mc.matrix_power_norm(A, hi) >= tol_trunc:
         hi *= 2
-        if hi >= cap:
-            if mc.matrix_power_norm(A, cap) >= tol_trunc:
-                warnings.warn(
-                    f"truncation degree capped at {cap}; tail norm still "
-                    f"{mc.matrix_power_norm(A, cap):.3e} >= {tol_trunc:.3e}",
-                    stacklevel=2,
-                )
-                return cap
-            hi = cap
+        if hi >= TRUNCATION_CAP:
+            tail = mc.matrix_power_norm(A, TRUNCATION_CAP)
+            if tail >= tol_trunc:
+                warnings.warn(f"truncation degree capped at {TRUNCATION_CAP}; tail norm "
+                              f"still {tail:.3e} >= {tol_trunc:.3e}", stacklevel=2)
+                return TRUNCATION_CAP
+            hi = TRUNCATION_CAP
             break
     lo = hi // 2  # ||T^lo|| >= tol > ||T^hi||
     while hi - lo > 1:

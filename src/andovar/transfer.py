@@ -37,6 +37,7 @@ __all__ = [
     "cnu_part",
     "split_residual",
     "check_no_unimodular_eigs",
+    "circle_grid",
     "boundary_scan",
     "taylor_symbols",
     "Analysis",
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14
+# largest ||H0* M H1|| or ||H1* M H0|| accepted by canonical_split
+_OFFDIAG_TOL = 1e-8
 # points per stacked evaluation; stacking whole 720-point grids at dims
 # 16-32 raised peak RSS from 65 to 98 MB
 _EVAL_CHUNK = 64
@@ -180,8 +183,7 @@ class CanonicalSplit:
         return self.H0.shape[1]
 
 
-def canonical_split(M, tol_pure: float = 1e-8,
-                    offdiag_tol: float = 1e-8) -> CanonicalSplit:
+def canonical_split(M, tol_pure: float = 1e-8) -> CanonicalSplit:
     """Split a contraction into unitary (+) completely-non-unitary parts.
 
     The unitary subspace is spanned by eigenvectors whose eigenvalue modulus
@@ -219,7 +221,7 @@ def canonical_split(M, tol_pure: float = 1e-8,
         mc.operator_norm(mc.adjoint(H0) @ A @ H1),
         mc.operator_norm(mc.adjoint(H1) @ A @ H0),
     )
-    if off > offdiag_tol:
+    if off > _OFFDIAG_TOL:
         raise ValidationError(
             "unitary-part subspace does not reduce the matrix; input is not "
             "a contraction within tolerance",
@@ -284,19 +286,23 @@ class BoundaryScan:
                          np.max(np.abs(self.sigma_max - 1.0))))
 
 
+def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles 2 pi j / n_theta, j < n_theta, and the points e^{i theta}."""
+    if n_theta < 1:
+        raise InputError("n_theta must be >= 1")
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return thetas, np.exp(1j * thetas)
+
+
 def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
     """Singular-value sweep of tau(e^{i theta}) over a uniform grid.
 
     Boundary poles of the resolvent are skipped and reported rather than
     extrapolated.
     """
-    if n_theta < 1:
-        raise InputError("n_theta must be >= 1")
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    s, poles = eval_tau_many(
-        tf, np.exp(1j * thetas),
-        lambda values: (np.linalg.svd(values, compute_uv=False) if tf.dim
-                        else np.ones((len(values), 1))))
+    thetas, z = circle_grid(n_theta)
+    s, poles = eval_tau_many(tf, z, lambda values: (
+        np.linalg.svd(values, compute_uv=False) if tf.dim else np.ones((len(values), 1))))
     return BoundaryScan(
         thetas=thetas[~poles],
         sigma_min=s[:, -1],

@@ -23,6 +23,7 @@ from .transfer import (
     TransferFunction,
     adjoint_transfer,
     analyze,
+    circle_grid,
     cnu_part,
     eval_tau,
     eval_tau_many,
@@ -30,6 +31,7 @@ from .transfer import (
 
 __all__ = [
     "VarietySample",
+    "fibers",
     "variety_fiber",
     "membership_residual",
     "boundary_samples",
@@ -40,6 +42,8 @@ __all__ = [
 ]
 
 _JOINT_EIG_SEED = 0x5EED
+# largest ||T* v - lambda v|| accepted for a joint eigenvector v
+_JOINT_EIG_VEC_TOL = 1e-8
 _SYMMETRY_SEED = 20260808
 
 
@@ -57,25 +61,34 @@ class VarietySample:
         return len(self.points)
 
 
-def _fiber_values(coll: Colligation, split: CanonicalSplit, z1: complex):
-    psi = adjoint_transfer(coll)
-    sub = cnu_part(psi, split)
-    v0 = [(complex(lam), "V0") for lam in split.lambdas]
-    val = sub.eval(z1)
-    v1 = [(complex(lam), "V1") for lam in mc.eigvals(val)] if val.size else []
-    return v0 + v1
+def fibers(coll: Colligation, split: CanonicalSplit, z1):
+    """Fiber values over each point of z1 and the boolean mask of the poles.
+
+    Row i lists the V0 values ``split.lambdas``, then the ordered
+    eigenvalues of Psi_cnu at the i-th non-pole point (the V1 values).  A
+    point is a pole of Psi_cnu by the rule of :func:`eval_tau_many`; when
+    Psi_cnu has dimension 0 nothing is evaluated, so no point is a pole.
+    """
+    if coll.r1 == 0:
+        raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
+    z1 = np.asarray(z1, dtype=complex).reshape(-1)
+    psi_cnu = cnu_part(adjoint_transfer(coll), split)
+    if psi_cnu.dim:
+        v1, poles = eval_tau_many(psi_cnu, z1, mc.eigvals)
+    else:
+        v1, poles = np.zeros((z1.size, 0), complex), np.zeros(z1.size, bool)
+    return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1]), poles
 
 
 def variety_fiber(coll: Colligation, split: CanonicalSplit, z1: complex):
     """All r1 fiber values over z1, tagged V0/V1, deterministically ordered."""
     if abs(z1) > 1.0 + 1e-12:
         raise InputError("fiber requested outside the closed disc")
-    fiber = _fiber_values(coll, split, z1)
-    if not fiber:
-        raise NumericError(
-            "empty fiber: the first defect space is trivial (T1 unitary)"
-        )
-    return fiber
+    values, poles = fibers(coll, split, z1)
+    if poles[0]:
+        # raises BoundaryPoleError with its cond
+        eval_tau(cnu_part(adjoint_transfer(coll), split), z1)
+    return [(z2, "V0" if j < split.k else "V1") for j, z2 in enumerate(values[0].tolist())]
 
 
 def membership_residual(coll: Colligation, split: CanonicalSplit,
@@ -93,22 +106,14 @@ def boundary_samples(coll: Colligation, split: CanonicalSplit,
     by (real, imag).  The residual column is the distance from each point
     to its own fiber, which is 0.0 by construction.
     """
-    if n_theta < 1:
-        raise InputError("n_theta must be >= 1")
-    if coll.r1 == 0:
-        raise NumericError(
-            "empty fiber: the first defect space is trivial (T1 unitary)"
-        )
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    z1 = np.exp(1j * thetas)
-    v1, poles = eval_tau_many(cnu_part(adjoint_transfer(coll), split), z1, mc.eigvals)
+    thetas, z1 = circle_grid(n_theta)
+    values, poles = fibers(coll, split, z1)
     kept = ~poles
-    fibers = np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
-    width = fibers.shape[1]
+    width = values.shape[1]
     return VarietySample(
-        points=list(zip(np.repeat(z1[kept], width).tolist(), fibers.ravel().tolist())),
-        kinds=(["V0"] * split.k + ["V1"] * (width - split.k)) * len(v1),
-        residuals=[0.0] * fibers.size,
+        points=list(zip(np.repeat(z1[kept], width).tolist(), values.ravel().tolist())),
+        kinds=(["V0"] * split.k + ["V1"] * (width - split.k)) * len(values),
+        residuals=[0.0] * values.size,
         theta_grid=thetas[kept],
         skipped_thetas=thetas[poles].tolist(),
     )
@@ -123,8 +128,7 @@ class JointEigReport:
 
 
 def joint_eig_membership(pair: ContractionPair, coll: Colligation,
-                         split: CanonicalSplit,
-                         vec_tol: float = 1e-8) -> JointEigReport:
+                         split: CanonicalSplit) -> JointEigReport:
     """Check that joint eigenvalues of (T1*, T2*) land on the variety.
 
     Joint eigenvectors are found from a generic linear combination
@@ -143,8 +147,8 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
             v = V[:, i]
             l1c = complex(v.conj() @ T1s @ v)
             l2c = complex(v.conj() @ T2s @ v)
-            ok = (np.linalg.norm(T1s @ v - l1c * v) <= vec_tol
-                  and np.linalg.norm(T2s @ v - l2c * v) <= vec_tol)
+            ok = (np.linalg.norm(T1s @ v - l1c * v) <= _JOINT_EIG_VEC_TOL
+                  and np.linalg.norm(T2s @ v - l2c * v) <= _JOINT_EIG_VEC_TOL)
             if not ok:
                 failures += 1
                 continue
@@ -197,19 +201,21 @@ def _interior_fibers(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
 # Output formats
 # ---------------------------------------------------------------------------
 
+def _rows(sample: VarietySample):
+    """(theta, (z1, z2), kind, residual) per point; every theta has one
+    fiber of the same width."""
+    per_theta = len(sample.points) // len(sample.theta_grid) if len(sample.theta_grid) else 0
+    return zip(np.repeat(sample.theta_grid, per_theta), sample.points,
+               sample.kinds, sample.residuals)
+
+
 def sample_to_csv(sample: VarietySample) -> str:
     lines = ["theta,re_z1,im_z1,re_z2,im_z2,kind,residual"]
-    idx = 0
-    per_theta = len(sample.points) // len(sample.theta_grid) if len(sample.theta_grid) else 0
-    for t_i, theta in enumerate(sample.theta_grid):
-        for _ in range(per_theta):
-            z1, z2 = sample.points[idx]
-            lines.append(
-                f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
-                f"{z2.real:.12e},{z2.imag:.12e},{sample.kinds[idx]},"
-                f"{sample.residuals[idx]:.12e}"
-            )
-            idx += 1
+    for theta, (z1, z2), kind, residual in _rows(sample):
+        lines.append(
+            f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
+            f"{z2.real:.12e},{z2.imag:.12e},{kind},{residual:.12e}"
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -241,20 +247,14 @@ def sample_to_svg(sample: VarietySample) -> str:
             f'<text x="{panel + 10}" y="20" font-family="monospace" '
             f'font-size="14">{label}</text>'
         )
-    per_theta = len(sample.points) // len(sample.theta_grid) if len(sample.theta_grid) else 0
-    idx = 0
-    for theta in sample.theta_grid:
+    for theta, (z1, z2), kind, _ in _rows(sample):
         color = _svg_color(float(theta))
-        for _ in range(per_theta):
-            z1, z2 = sample.points[idx]
-            kind = sample.kinds[idx]
-            x1, y1 = pt(z1, 0)
-            x2, y2 = pt(z2, size + 40)
-            parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>')
-            stroke = ' stroke="black" stroke-width="0.6"' if kind == "V0" else ""
-            parts.append(
-                f'<circle cx="{x2:.2f}" cy="{y2:.2f}" r="2" fill="{color}"{stroke}/>'
-            )
-            idx += 1
+        x1, y1 = pt(z1, 0)
+        x2, y2 = pt(z2, size + 40)
+        parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>')
+        stroke = ' stroke="black" stroke-width="0.6"' if kind == "V0" else ""
+        parts.append(
+            f'<circle cx="{x2:.2f}" cy="{y2:.2f}" r="2" fill="{color}"{stroke}/>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -18,7 +18,8 @@ from . import matrix_core as mc
 from .colligation import Colligation
 from .errors import ChainViolationError, InputError, NumericError
 from .pair_analysis import ContractionPair, require_pure
-from .transfer import CanonicalSplit, adjoint_transfer, analyze, cnu_part, eval_tau_many
+from .transfer import CanonicalSplit, analyze, circle_grid
+from .variety import fibers
 
 __all__ = [
     "BivariatePolynomial",
@@ -124,19 +125,10 @@ def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
     (e^{i theta}, lambda) for lambda in sigma(W), the maximum principle
     having pushed the first coordinate of V0 to the circle.
     """
-    if n_theta < 1:
-        raise InputError("n_theta must be >= 1")
-    psi_cnu = cnu_part(adjoint_transfer(coll), split)
-    if not split.k + psi_cnu.dim:
-        raise NumericError("variety has no sheets (empty multiplier)")
-    z1 = np.exp(1j * (2.0 * np.pi * np.arange(n_theta) / n_theta))
-    if psi_cnu.dim:
-        v1, poles = eval_tau_many(psi_cnu, z1, mc.eigvals)
-    else:  # V0 only: nothing is evaluated, so no theta is skipped
-        v1, poles = np.zeros((n_theta, 0), complex), np.zeros(n_theta, bool)
+    _, z1 = circle_grid(n_theta)
+    z2, poles = fibers(coll, split, z1)
     if poles.all():
         raise NumericError("every boundary sample hit a resolvent pole")
-    z2 = np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
     best = float(np.max(np.abs(p(z1[~poles, None], z2))))
     slack = p.lipschitz_bound() * (2.0 * np.pi / n_theta) + 1e-9
     return SupEstimate(value=best, slack=slack, grid=n_theta, skipped=int(poles.sum()))

@@ -106,6 +106,15 @@ class TestSeriesIdentity:
         # envelope itself decays, so late residuals are negligible
         assert rep.residuals[-1] <= 1e-9
 
+    def test_purity_is_judged_by_the_pair_tolerance(self):
+        # spectral radius 1 - 5e-9: pure under pure=1e-9, not under the
+        # default 1e-8
+        pair = av.ContractionPair.create([[1 - 5e-9]], [[0.5]], av.Tolerances(pure=1e-9))
+        a = av.analyze(pair)
+        assert (a.d1.rank, a.d2.rank) == (1, 1)
+        rep = av.defect_series_residuals(pair, a.coll, a.d1, np.array([1.0], complex), m_max=3)
+        assert np.all(rep.residuals <= rep.tail_bounds + 1e-10)
+
 
 class TestSerialization:
     def test_to_dict_round_trip(self, scalar_half_pair):

@@ -8,7 +8,9 @@ import pytest
 
 import andovar as av
 import andovar.matrix_core as mc
+from andovar.colligation import Colligation
 from andovar.errors import InputError, PurityError
+from andovar.vn import BivariatePolynomial, sup_on_variety
 
 from conftest import build_pipeline, interior_points, make_suite
 
@@ -80,6 +82,20 @@ class TestBoundary:
         sample = av.boundary_samples(coll, split, 32)
         assert all(k == "V0" for k in sample.kinds)
         assert all(abs(z2 - 1.0) <= 1e-10 for _, z2 in sample.points)
+
+    def test_v0_only_variety_skips_no_theta(self):
+        # U = diag(i, 1) is unitary with V0 sheets only; D = [[1]] is singular
+        # at theta = 0, but with no c.n.u. part nothing is evaluated there
+        coll = Colligation(A=np.array([[1j]]), B=np.zeros((1, 1), complex),
+                           C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex),
+                           basis1=np.eye(1, dtype=complex), basis2=np.eye(1, dtype=complex))
+        split = av.canonical_split(mc.adjoint(coll.A))
+        assert split.k == 1
+        sample = av.boundary_samples(coll, split, 97)
+        sup = sup_on_variety(BivariatePolynomial(np.ones((2, 2))), coll, split, 97)
+        assert sample.skipped_thetas == []
+        assert len(sample) == 97
+        assert sup.skipped == len(sample.skipped_thetas) == 0
 
     @pytest.mark.parametrize("idx", range(6))
     def test_boundary_values_unimodular(self, idx):
