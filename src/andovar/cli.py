@@ -223,6 +223,7 @@ def dilate(pair_file, truncation, dump, **params):
         "N": dil.N,
         "rows": dil.rows,
         "tail_bound": dil.tail_bound,
+        "truncation_capped": dil.tail_bound >= tol.trunc,
         "isometry_defect": mc.operator_norm(
             mc.adjoint(dil.Pi) @ dil.Pi - np.eye(dil.n)),
         "res_z": inter.res_z,

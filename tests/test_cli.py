@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import andovar as av
 import andovar.dilation
 from andovar import serialize
 from andovar.cli import main
@@ -170,6 +171,25 @@ class TestDilate:
     def test_bad_truncation_exits_1(self, zero_pair_file, capsys):
         code, _, _ = run(["dilate", zero_pair_file, "--truncation", "soon"], capsys)
         assert code == 1
+
+    def test_capped_truncation_is_reported(self, tmp_path, capsys):
+        f = write_pair(tmp_path / "slow.json", *av.generate_pair(
+            "triangular-commuting", 1, seed=1, radius=0.99))
+        with pytest.warns(UserWarning, match="capped"):
+            code, out, _ = run(["dilate", f], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["N"] == 2000
+        assert data["tail_bound"] > 1e-9
+        assert data["truncation_capped"] is True
+
+    def test_converged_truncation_is_not_capped(self, tmp_path, capsys):
+        f = write_pair(tmp_path / "diag.json", *av.generate_pair("diag", 3, seed=7))
+        code, out, _ = run(["dilate", f], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["tail_bound"] < 1e-9
+        assert data["truncation_capped"] is False
 
 
 class TestDilateDumpLimit:

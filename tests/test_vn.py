@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
@@ -31,6 +34,17 @@ def random_poly(max_total_degree, seed):
     j = np.arange(max_total_degree + 1)
     mask = (j[:, None] + j[None, :]) <= max_total_degree
     return BivariatePolynomial(c * mask)
+
+
+def _torus_sup_oracle(p, n=1024, patch=33):
+    """Max of |p| on an unchunked n x n ifft2 grid, refined by Horner on a
+    patch x patch grid two grid steps either side of the grid argmax."""
+    grid = np.abs(np.fft.ifft2(p.coeffs, s=(n, n), norm="forward"))
+    m1, m2 = np.unravel_index(np.argmax(grid), grid.shape)
+    offsets = np.linspace(-2 * np.pi / n, 2 * np.pi / n, patch)
+    z1 = np.exp(1j * (2 * np.pi * m1 / n + offsets))
+    z2 = np.exp(1j * (2 * np.pi * m2 / n + offsets))
+    return max(float(grid.max()), float(np.max(np.abs(p(z1[:, None], z2[None, :])))))
 
 
 class TestPolynomial:
@@ -99,6 +113,42 @@ class TestSups:
     def test_bidisc_rejects_coarse_grid(self):
         with pytest.raises(InputError):
             sup_on_bidisc(random_poly(4, seed=2), n_grid=8)
+
+    @pytest.mark.parametrize("degree", [0, 1, 4, 12])
+    def test_bidisc_matches_horner(self, degree):
+        column = BivariatePolynomial(random_poly(degree, seed=40 + degree).coeffs[:, :1])
+        for p in (random_poly(degree, seed=20 + degree), column):
+            for n in (max(4 * (p.deg1 + p.deg2), 1), 128):
+                z = np.exp(2j * np.pi * np.arange(n) / n)
+                horner = float(np.max(np.abs(p(z[:, None], z[None, :]))))
+                value = sup_on_bidisc(p, n).value
+                assert abs(value - horner) <= 1e-12 * max(1.0, horner), (p.coeffs.shape, n)
+
+    def test_bidisc_is_bit_reproducible(self):
+        p = random_poly(6, seed=11)
+        assert sup_on_bidisc(p, 512) == sup_on_bidisc(p, 512)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1),
+           st.booleans())
+    def test_bidisc_slack_bounds_the_sup(self, d1, d2, seed, coarsest):
+        rng = np.random.default_rng(seed)
+        p = BivariatePolynomial(rng.normal(size=(d1 + 1, d2 + 1))
+                                + 1j * rng.normal(size=(d1 + 1, d2 + 1)))
+        n = max(4 * (p.deg1 + p.deg2), 1) if coarsest else 512
+        est = sup_on_bidisc(p, n)
+        assert _torus_sup_oracle(p) <= est.value + est.slack
+
+    def test_bidisc_allocates_no_dense_grid(self):
+        p = random_poly(4, seed=5)
+        tracemalloc.start()
+        try:
+            sup_on_bidisc(p, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense 4096 x 4096 complex grid alone takes 256 MB
+        assert peak < 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
 
     def test_variety_sup_on_diagonal(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
