@@ -42,11 +42,9 @@ from .transfer import (
     analyze,
     boundary_scan,
     canonical_split,
-    check_no_unimodular_eigs,
     cnu_part,
     eval_tau,
     eval_tau_many,
-    forward_transfer,
     schur_identity_residual,
     split_residual,
     taylor_symbols,
@@ -54,10 +52,9 @@ from .transfer import (
 from .variety import (
     VarietySample,
     boundary_samples,
+    fibers,
     joint_eig_membership,
-    membership_residual,
     symmetry_residual,
-    variety_fiber,
 )
 from .vn import (
     BivariatePolynomial,

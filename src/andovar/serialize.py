@@ -57,17 +57,26 @@ def pair_to_json(T1: np.ndarray, T2: np.ndarray) -> str:
     return dumps(payload)
 
 
-def pair_from_json(text: str):
+def _load_object(text: str, what: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"pair file is not valid JSON: {exc}") from exc
+        raise InputError(f"{what} file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{what} file must hold a JSON object")
+    return data
+
+
+def pair_from_json(text: str):
+    data = _load_object(text, "pair")
     for key in ("n", "T1", "T2"):
         if key not in data:
             raise InputError(f"pair file missing key {key!r}")
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise InputError(f"pair file: n must be a positive integer, got {n!r}")
     T1 = matrix_from_nested(data["T1"], "T1")
     T2 = matrix_from_nested(data["T2"], "T2")
-    n = int(data["n"])
     if T1.shape != (n, n) or T2.shape != (n, n):
         raise InputError(
             f"pair file dimension mismatch: n={n}, T1 {T1.shape}, T2 {T2.shape}"
@@ -80,10 +89,7 @@ def poly_to_json(coeffs: np.ndarray) -> str:
 
 
 def poly_from_json(text: str) -> np.ndarray:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"polynomial file is not valid JSON: {exc}") from exc
+    data = _load_object(text, "polynomial")
     if "coeffs" not in data:
         raise InputError("polynomial file missing key 'coeffs'")
     return matrix_from_nested(data["coeffs"], "coeffs")

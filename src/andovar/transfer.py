@@ -27,7 +27,6 @@ from .pair_analysis import ContractionPair, DefectData, defect
 
 __all__ = [
     "TransferFunction",
-    "forward_transfer",
     "adjoint_transfer",
     "eval_tau",
     "eval_tau_many",
@@ -36,7 +35,6 @@ __all__ = [
     "canonical_split",
     "cnu_part",
     "split_residual",
-    "check_no_unimodular_eigs",
     "circle_grid",
     "boundary_scan",
     "taylor_symbols",
@@ -64,14 +62,6 @@ class TransferFunction:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
-
-    def eval(self, z: complex) -> np.ndarray:
-        return eval_tau(self, z)
-
-
-def forward_transfer(coll: Colligation) -> TransferFunction:
-    """tau_U for the colligation unitary U."""
-    return TransferFunction(coll.A, coll.B, coll.C, coll.D)
 
 
 def adjoint_transfer(coll: Colligation) -> TransferFunction:
@@ -251,20 +241,6 @@ def split_residual(tf: TransferFunction, split: CanonicalSplit, z: complex) -> f
     recomposed = (split.H0 @ split.W @ mc.adjoint(split.H0)
                   + split.H1 @ sub @ mc.adjoint(split.H1))
     return mc.operator_norm(full - recomposed)
-
-
-def check_no_unimodular_eigs(tf: TransferFunction, z: complex,
-                             tol: float = 1e-9) -> tuple[bool, float]:
-    """True iff every eigenvalue of tau(z) has modulus <= 1 - tol.
-
-    Diagnostic for interior points of transfer functions whose A-block is
-    completely non-unitary; returns the maximal eigenvalue modulus as well.
-    """
-    val = eval_tau(tf, z)
-    if val.size == 0:
-        return True, 0.0
-    max_mod = float(np.max(np.abs(mc.eigvals(val))))
-    return max_mod <= 1.0 - tol, max_mod
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .colligation import Colligation
-from .errors import InputError, NumericError
+from .errors import NumericError
 from .pair_analysis import ContractionPair, require_pure
 from .transfer import (
     CanonicalSplit,
@@ -32,8 +32,6 @@ from .transfer import (
 __all__ = [
     "VarietySample",
     "fibers",
-    "variety_fiber",
-    "membership_residual",
     "boundary_samples",
     "joint_eig_membership",
     "symmetry_residual",
@@ -80,24 +78,6 @@ def fibers(coll: Colligation, split: CanonicalSplit, z1):
     return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1]), poles
 
 
-def variety_fiber(coll: Colligation, split: CanonicalSplit, z1: complex):
-    """All r1 fiber values over z1, tagged V0/V1, deterministically ordered."""
-    if abs(z1) > 1.0 + 1e-12:
-        raise InputError("fiber requested outside the closed disc")
-    values, poles = fibers(coll, split, z1)
-    if poles[0]:
-        # raises BoundaryPoleError with its cond
-        eval_tau(cnu_part(adjoint_transfer(coll), split), z1)
-    return [(z2, "V0" if j < split.k else "V1") for j, z2 in enumerate(values[0].tolist())]
-
-
-def membership_residual(coll: Colligation, split: CanonicalSplit,
-                        z1: complex, z2: complex) -> float:
-    """Distance from z2 to the fiber over z1 (eigenvalue distance)."""
-    fiber = variety_fiber(coll, split, z1)
-    return float(min(abs(z2 - f) for f, _ in fiber))
-
-
 def boundary_samples(coll: Colligation, split: CanonicalSplit,
                      n_theta: int) -> VarietySample:
     """Fibers over the unit circle; pole thetas are skipped and reported.
@@ -133,34 +113,35 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
 
     Joint eigenvectors are found from a generic linear combination
     T1* + mu T2* and verified against both factors; mu is redrawn at most
-    three times (deterministic seed) if verification fails.
+    three times (deterministic seed) if verification fails.  The kept
+    pairs are measured against one :func:`fibers` call over their lambda1;
+    a pole there raises :class:`BoundaryPoleError`, and an empty variety
+    (T1 unitary) a :class:`NumericError`.
     """
     T1s, T2s = mc.adjoint(pair.T1), mc.adjoint(pair.T2)
-    n = pair.dim
     rng = np.random.default_rng(_JOINT_EIG_SEED)
-    best_entries, best_failures = [], n
+    best_failures, (lam1, lam2) = pair.dim, np.zeros((2, 0), complex)
     for _ in range(3):
         mu = complex(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
         _, V = mc.eig(T1s + mu * T2s)
-        entries, failures = [], 0
-        for i in range(n):
-            v = V[:, i]
-            l1c = complex(v.conj() @ T1s @ v)
-            l2c = complex(v.conj() @ T2s @ v)
-            ok = (np.linalg.norm(T1s @ v - l1c * v) <= _JOINT_EIG_VEC_TOL
-                  and np.linalg.norm(T2s @ v - l2c * v) <= _JOINT_EIG_VEC_TOL)
-            if not ok:
-                failures += 1
-                continue
-            lam1, lam2 = np.conj(l1c), np.conj(l2c)
-            if abs(lam1) < 1.0 and abs(lam2) <= 1.0 + 1e-10:
-                res = membership_residual(coll, split, lam1, lam2)
-                entries.append((complex(lam1), complex(lam2), res))
+        TV = np.stack([T1s @ V, T2s @ V])
+        quotients = np.sum(V.conj() * TV, axis=1)
+        residuals = np.linalg.norm(TV - quotients[:, None, :] * V, axis=1)
+        ok = np.all(residuals <= _JOINT_EIG_VEC_TOL, axis=0)
+        failures = int(np.sum(~ok))
         if failures < best_failures:
-            best_entries, best_failures = entries, failures
+            best_failures, (lam1, lam2) = failures, quotients[:, ok].conj()
         if failures == 0:
             break
-    return JointEigReport(entries=best_entries, failures=best_failures)
+    kept = (np.abs(lam1) < 1.0) & (np.abs(lam2) <= 1.0 + 1e-10)
+    lam1, lam2 = lam1[kept], lam2[kept]
+    values, poles = fibers(coll, split, lam1)
+    if poles.any():
+        # raises BoundaryPoleError with its cond
+        eval_tau(cnu_part(adjoint_transfer(coll), split), lam1[poles][0])
+    res = np.min(np.abs(values - lam2[:, None]), axis=1)
+    return JointEigReport(entries=list(zip(lam1.tolist(), lam2.tolist(), res.tolist())),
+                          failures=best_failures)
 
 
 def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
@@ -191,10 +172,10 @@ def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
 
 def _interior_fibers(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
     """Ordered eigenvalues of tf at each point of z; a pole is an error."""
-    fibers, poles = eval_tau_many(tf, z, mc.eigvals)
+    values, poles = eval_tau_many(tf, z, mc.eigvals)
     if poles.any():
         eval_tau(tf, z[poles][0])  # raises BoundaryPoleError with its cond
-    return fibers
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def test_criterion_01_zero_pair_closed_form():
         assert mc.operator_norm(coll.matrix - target) <= 1e-12
         psi = av.adjoint_transfer(coll)
         for z in interior_points(20, seed=m, radius=0.99):
-            assert mc.operator_norm(psi.eval(z) - z * np.eye(m)) <= 1e-12
+            assert mc.operator_norm(av.eval_tau(psi, z) - z * np.eye(m)) <= 1e-12
         sample = av.boundary_samples(coll, split, 60)
         assert all(abs(z2 - z1) <= 1e-10 for z1, z2 in sample.points)
 
@@ -97,7 +97,7 @@ def test_criterion_04_schur_identity():
     for idx, (kind, dim, T1, T2) in enumerate(suite):
         _, _, _, coll, _ = build_pipeline(T1, T2)
         psi = av.adjoint_transfer(coll)
-        tau = av.forward_transfer(coll)
+        tau = av.TransferFunction(coll.A, coll.B, coll.C, coll.D)
         points = interior_points(50, seed=6000 + idx)
         tf = psi if idx % 2 else tau
         for z in points:
@@ -156,9 +156,10 @@ def test_criterion_07_split_and_interior_spectra():
                    + split.H1 @ split.E_cnu @ mc.adjoint(split.H1))
         assert mc.operator_norm(rebuilt - Astar) <= 1e-9
         psi = av.adjoint_transfer(coll)
-        for z in interior_points(50, seed=7500 + idx):
-            ok, max_mod = av.check_no_unimodular_eigs(psi, z, tol=1e-12)
-            assert ok and max_mod < 1.0, (kind, dim, idx, max_mod)
+        eigs, poles = av.eval_tau_many(psi, interior_points(50, seed=7500 + idx), mc.eigvals)
+        assert not poles.any(), (kind, dim, idx)
+        max_mod = np.max(np.abs(eigs), axis=1)
+        assert np.all(max_mod <= 1.0 - 1e-12), (kind, dim, idx, max_mod.max())
     # unitary-direction instances exercise a nontrivial split
     for dim in (1, 2, 3, 4, 5):
         T1 = np.diag(np.linspace(0.1, 0.6, dim)).astype(complex)
@@ -248,4 +249,9 @@ def test_criterion_12_determinism(tmp_path, monkeypatch, capsys):
     for chunks in (2, 4, 7):
         parts = [float(np.max(c)) for c in np.array_split(vals, chunks)]
         assert float(np.max(parts)) == full
-    assert sup_on_bidisc(p, 512).value == full
+    # the streamed torus sup is the exact max of the unchunked inverse DFT,
+    # and agrees with the Horner grid up to rounding
+    value = sup_on_bidisc(p, 512).value
+    grid = np.fft.ifft2(p.coeffs, s=(512, 512), norm="forward")
+    assert value == float(np.max(np.abs(grid)))
+    assert abs(value - full) <= 1e-12 * max(1.0, value)

@@ -73,6 +73,31 @@ class TestCheck:
         assert code == 1
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["check", "dilate"])
+    @pytest.mark.parametrize("text", [
+        '{"n": null, "T1": [[[0, 0]]], "T2": [[[0, 0]]]}',
+        '{"n": "x", "T1": [[[0, 0]]], "T2": [[[0, 0]]]}',
+        '{"n": 0, "T1": [], "T2": []}',
+        "5",
+    ])
+    def test_bad_pair_file_exits_1(self, tmp_path, capsys, command, text):
+        f = tmp_path / "pair.json"
+        f.write_text(text)
+        code, out, err = run([command, str(f)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_bad_polynomial_file_exits_1(self, zero_pair_file, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text("5")
+        code, out, err = run(["vn", zero_pair_file, str(poly)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestColligation:
     def test_blocks_and_bases_emitted(self, zero_pair_file, capsys):
         code, out, _ = run(["colligation", zero_pair_file], capsys)

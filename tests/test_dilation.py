@@ -180,4 +180,4 @@ class TestAlgebra:
         total = sum(sym * z ** q for q, sym in enumerate(symbols))
         dnorm = mc.operator_norm(coll.D)
         tail = abs(z) ** (dil.N + 1) / max(1e-12, 1 - abs(z) * dnorm)
-        assert mc.operator_norm(total - psi.eval(z)) <= tail + 1e-12
+        assert mc.operator_norm(total - av.eval_tau(psi, z)) <= tail + 1e-12

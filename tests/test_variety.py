@@ -9,7 +9,7 @@ import pytest
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.colligation import Colligation
-from andovar.errors import InputError, PurityError
+from andovar.errors import BoundaryPoleError, InputError, NumericError, PurityError
 from andovar.vn import BivariatePolynomial, sup_on_variety
 
 from conftest import build_pipeline, interior_points, make_suite
@@ -18,46 +18,49 @@ from conftest import build_pipeline, interior_points, make_suite
 class TestFibers:
     def test_zero_pair_diagonal_fiber(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        fiber = av.variety_fiber(coll, split, 0.3)
-        assert len(fiber) == 2
-        for z2, kind in fiber:
-            assert kind == "V1"
-            assert abs(z2 - 0.3) <= 1e-12
+        values, poles = av.fibers(coll, split, 0.3)
+        assert not poles.any()
+        assert values.shape == (1, 2)
+        assert split.k == 0  # every value is a V1 value
+        assert np.all(np.abs(values - 0.3) <= 1e-12)
 
     def test_identity_second_entry_constant_fiber(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
         _, _, _, coll, split = build_pipeline(J, np.eye(2, dtype=complex))
-        for z1 in (0.0, 0.4, -0.2 + 0.6j):
-            fiber = av.variety_fiber(coll, split, z1)
-            assert all(kind == "V0" for _, kind in fiber)
-            assert all(abs(z2 - 1.0) <= 1e-12 for z2, _ in fiber)
+        values, poles = av.fibers(coll, split, [0.0, 0.4, -0.2 + 0.6j])
+        assert not poles.any()
+        assert values.shape[1] == split.k  # every value is a V0 value
+        assert np.all(np.abs(values - 1.0) <= 1e-12)
 
     def test_scalar_half_fiber_at_origin(self, scalar_half_pair):
         _, _, _, coll, split = scalar_half_pair
-        fiber = av.variety_fiber(coll, split, 0.0)
-        assert len(fiber) == 1
-        assert abs(fiber[0][0] - complex(coll.A.conj().T[0, 0])) <= 1e-14
+        values, _ = av.fibers(coll, split, 0.0)
+        assert values.shape == (1, 1)
+        assert abs(values[0, 0] - complex(coll.A.conj().T[0, 0])) <= 1e-14
 
     def test_fiber_cardinality_is_r1(self):
         for idx, (kind, dim, T1, T2) in enumerate(make_suite(6, seed0=10)):
             _, d1, _, coll, split = build_pipeline(T1, T2)
-            for z1 in interior_points(5, seed=idx):
-                assert len(av.variety_fiber(coll, split, z1)) == d1.rank
+            values, poles = av.fibers(coll, split, interior_points(5, seed=idx))
+            assert not poles.any()
+            assert values.shape == (5, d1.rank)
 
     def test_rejects_outside_disc(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
         with pytest.raises(InputError):
-            av.variety_fiber(coll, split, 1.2)
+            av.fibers(coll, split, 1.2)
 
 
 class TestMembership:
     def test_on_fiber_point(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        assert av.membership_residual(coll, split, 0.4, 0.4) <= 1e-10
+        values, _ = av.fibers(coll, split, 0.4)
+        assert np.min(np.abs(values - 0.4)) <= 1e-10
 
     def test_distance_to_diagonal(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        assert av.membership_residual(coll, split, 0.3, 0.9) == pytest.approx(0.6, abs=1e-10)
+        values, _ = av.fibers(coll, split, 0.3)
+        assert np.min(np.abs(values - 0.9)) == pytest.approx(0.6, abs=1e-10)
 
     @pytest.mark.parametrize("idx", range(5))
     def test_sampled_points_are_members(self, idx):
@@ -65,8 +68,9 @@ class TestMembership:
         _, _, _, coll, split = build_pipeline(T1, T2)
         psi = av.adjoint_transfer(coll)
         for z1 in interior_points(5, seed=idx):
-            for z2 in mc.eigvals(psi.eval(z1)):
-                assert av.membership_residual(coll, split, z1, z2) <= 1e-8
+            values, _ = av.fibers(coll, split, z1)
+            for z2 in mc.eigvals(av.eval_tau(psi, z1)):
+                assert np.min(np.abs(values - z2)) <= 1e-8
 
 
 class TestBoundary:
@@ -111,9 +115,9 @@ class TestBoundary:
         kind, dim, T1, T2 = make_suite(4, seed0=35)[idx]
         _, _, _, coll, split = build_pipeline(T1, T2)
         assert split.k == 0  # pure-pure pairs have no unitary sheet
-        for z1 in interior_points(10, seed=idx, radius=0.9):
-            for z2, _ in av.variety_fiber(coll, split, z1):
-                assert abs(z2) < 1.0
+        values, poles = av.fibers(coll, split, interior_points(10, seed=idx, radius=0.9))
+        assert not poles.any()
+        assert np.all(np.abs(values) < 1.0)
 
 
 class TestJointEigenvalues:
@@ -142,6 +146,24 @@ class TestJointEigenvalues:
         l1, l2, res = rep.entries[0]
         assert (l1, l2) == pytest.approx((0.5, 1.0), abs=1e-12)
         assert res <= 1e-10
+
+    def test_pole_at_a_joint_eigenvalue_raises(self):
+        # U is the permutation of e0 and e2, so Psi(z) = z; the resolvent of
+        # D = diag(1, 0) has cond 1/|1 - z|, past the pole limit at lambda1
+        lam1 = 1.0 - 1e-15
+        coll = Colligation(A=np.zeros((1, 1), complex), B=np.array([[0, 1]], complex),
+                           C=np.array([[0], [1]], complex), D=np.diag([1.0, 0.0]).astype(complex),
+                           basis1=np.eye(1, dtype=complex), basis2=np.eye(2, dtype=complex))
+        split = av.canonical_split(mc.adjoint(coll.A))
+        pair = av.ContractionPair.create([[lam1]], [[0.0]])
+        with pytest.raises(BoundaryPoleError):
+            av.joint_eig_membership(pair, coll, split)
+
+    def test_unitary_t1_has_no_variety(self):
+        T1 = np.diag(np.exp(1j * np.array([0.3, 1.1])))
+        pair, d1, d2, coll, split = build_pipeline(T1, 0.5 * np.eye(2, dtype=complex))
+        with pytest.raises(NumericError, match="empty fiber"):
+            av.joint_eig_membership(pair, coll, split)
 
     @pytest.mark.parametrize("idx", range(8))
     def test_generated_pairs(self, idx):
