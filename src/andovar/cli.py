@@ -114,11 +114,14 @@ def _read_pair(path: str, tol: Tolerances) -> ContractionPair:
 
 
 def _write_output(text: str, output: str | None):
-    if output:
+    if not output:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {output}: {exc}") from exc
 
 
 @click.group()
@@ -167,14 +170,9 @@ def variety(pair_file, theta_samples, output, fmt, **params):
     sample = boundary_samples(analysis.coll, analysis.split, theta_samples)
     render = sample_to_csv if fmt == "csv" else sample_to_svg
     _write_output(render(sample), output)
-    n_v0 = sum(1 for k in sample.kinds if k == "V0")
-    n_v1 = len(sample.kinds) - n_v0
-    max_res = max(sample.residuals) if sample.residuals else 0.0
-    click.echo(
-        f"# V0 points: {n_v0}, V1 points: {n_v1}, skipped thetas: "
-        f"{len(sample.skipped_thetas)}, max membership residual: {max_res:.3e}",
-        err=True,
-    )
+    n_v0 = sample.k * len(sample.theta_grid)
+    click.echo(f"# V0 points: {n_v0}, V1 points: {len(sample) - n_v0}, "
+               f"skipped thetas: {len(sample.skipped_thetas)}", err=True)
 
 
 @cli.command()
@@ -213,9 +211,6 @@ def dilate(pair_file, truncation, dump, **params):
         except ValueError:
             raise click.UsageError("--truncation must be 'auto' or an integer")
     dil = build_dilation(pair, coll, analysis.d1, N=N, tol_trunc=tol.trunc, tol_pure=tol.pure)
-    # assembled before any output: past the dense row limit this raises
-    # InputError and the command prints nothing
-    dense = {"Pi": dil.Pi, "Mz": dil.Mz, "MPsi": dil.MPsi} if dump else None
     inter = intertwining_residuals(dil, pair)
     comp = compression_residuals(dil, pair)
     iso = mpsi_isometry_residual(dil, coll)
@@ -237,11 +232,13 @@ def dilate(pair_file, truncation, dump, **params):
         "mpsi_isometry_restricted": iso.restricted,
         "q_eff": iso.q_eff,
     }
-    click.echo(serialize.dumps(payload), nl=False)
+    # the dump is written first: past the dense row limit or on an
+    # unwritable path the command fails with nothing on stdout
     if dump:
-        matrices = {name: serialize.matrix_to_nested(M) for name, M in dense.items()}
-        with open(dump, "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(matrices))
+        matrices = {"Pi": dil.Pi, "Mz": dil.Mz, "MPsi": dil.MPsi}
+        _write_output(serialize.dumps(
+            {name: serialize.matrix_to_nested(M) for name, M in matrices.items()}), dump)
+    click.echo(serialize.dumps(payload), nl=False)
 
 
 @cli.command()
@@ -274,7 +271,7 @@ def demo(name, m):
     analysis = analyze(pair)
     coll = analysis.coll
     sample = boundary_samples(coll, analysis.split, 90)
-    max_diag_dev = max(abs(z2 - z1) for z1, z2 in sample.points)
+    diag_dev = np.abs(sample.values - np.exp(1j * sample.theta_grid)[:, None])
     p = BivariatePolynomial(np.array([[0, -1], [1, 0]], complex))  # z1 - z2
     report = vn_report(pair, p)
     scan = boundary_scan(analysis.psi, 90)
@@ -288,7 +285,7 @@ def demo(name, m):
         },
         "psi_symbol": "z * W^* with W = I",
         "variety": "diagonal z2 = z1",
-        "max_diagonal_deviation": max_diag_dev,
+        "max_diagonal_deviation": float(np.max(diag_dev)),
         "boundary_unitarity_deviation": scan.max_deviation(),
         "vn": report.to_dict(),
     }

@@ -36,6 +36,7 @@ __all__ = [
     "cnu_part",
     "split_residual",
     "circle_grid",
+    "disc_points",
     "boundary_scan",
     "taylor_symbols",
     "Analysis",
@@ -95,6 +96,15 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray):
     return tf.A + (z[ok, None, None] * tf.B) @ S, cond
 
 
+def disc_points(z) -> np.ndarray:
+    """z as a flat complex array; InputError unless every |z_i| <= 1."""
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if z.size and np.max(np.abs(z)) > 1.0 + 1e-12:
+        raise InputError("transfer function evaluated outside the closed disc: "
+                         f"|z|={np.max(np.abs(z))}")
+    return z
+
+
 def eval_tau_many(tf: TransferFunction, z, reduce):
     """Evaluate the transfer function at every point of z, |z_i| <= 1.
 
@@ -104,10 +114,7 @@ def eval_tau_many(tf: TransferFunction, z, reduce):
     Returns the reduced rows of the non-pole points, in order, and the
     boolean mask of the poles (see :func:`eval_tau`).
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.size and np.max(np.abs(z)) > 1.0 + 1e-12:
-        raise InputError("transfer function evaluated outside the closed disc: "
-                         f"|z|={np.max(np.abs(z))}")
+    z = disc_points(z)
     rows, poles = [], []
     for start in range(0, max(z.size, 1), _EVAL_CHUNK):
         values, cond = _eval_chunk(tf, z[start:start + _EVAL_CHUNK])
@@ -124,9 +131,7 @@ def eval_tau(tf: TransferFunction, z: complex) -> np.ndarray:
     :class:`BoundaryPoleError` and the caller is expected to skip or perturb.
     """
     z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise InputError(f"transfer function evaluated outside the closed disc: |z|={abs(z)}")
-    values, cond = _eval_chunk(tf, np.array([z]))
+    values, cond = _eval_chunk(tf, disc_points(z))
     if not len(values):
         raise BoundaryPoleError(
             f"resolvent numerically singular at z={z} (cond={cond[0]:.3e})",

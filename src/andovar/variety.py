@@ -20,11 +20,11 @@ from .errors import NumericError
 from .pair_analysis import ContractionPair, require_pure
 from .transfer import (
     CanonicalSplit,
-    TransferFunction,
     adjoint_transfer,
     analyze,
     circle_grid,
     cnu_part,
+    disc_points,
     eval_tau,
     eval_tau_many,
 )
@@ -47,16 +47,15 @@ _SYMMETRY_SEED = 20260808
 
 @dataclass(frozen=True)
 class VarietySample:
-    """Point cloud on the variety plus per-point diagnostics."""
+    """Fibers over the kept boundary points z1 = e^{i theta_grid}."""
 
-    points: list          # (z1, z2) complex pairs
-    kinds: list           # "V0" | "V1" per point
-    residuals: list       # membership residual per point
+    values: np.ndarray    # one fiber per kept theta: the k V0 columns, then V1
+    k: int
     theta_grid: np.ndarray
     skipped_thetas: list
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.values.size
 
 
 def fibers(coll: Colligation, split: CanonicalSplit, z1):
@@ -66,10 +65,11 @@ def fibers(coll: Colligation, split: CanonicalSplit, z1):
     eigenvalues of Psi_cnu at the i-th non-pole point (the V1 values).  A
     point is a pole of Psi_cnu by the rule of :func:`eval_tau_many`; when
     Psi_cnu has dimension 0 nothing is evaluated, so no point is a pole.
+    Every |z1_i| must be at most 1.
     """
     if coll.r1 == 0:
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
-    z1 = np.asarray(z1, dtype=complex).reshape(-1)
+    z1 = disc_points(z1)
     psi_cnu = cnu_part(adjoint_transfer(coll), split)
     if psi_cnu.dim:
         v1, poles = eval_tau_many(psi_cnu, z1, mc.eigvals)
@@ -82,21 +82,14 @@ def boundary_samples(coll: Colligation, split: CanonicalSplit,
                      n_theta: int) -> VarietySample:
     """Fibers over the unit circle; pole thetas are skipped and reported.
 
-    Each fiber lists its V0 points, then its V1 points, each group ordered
-    by (real, imag).  The residual column is the distance from each point
-    to its own fiber, which is 0.0 by construction.
+    ``values`` is the :func:`fibers` array of the kept thetas: each row
+    lists its V0 points, then its V1 points, each group ordered by
+    (real, imag).
     """
     thetas, z1 = circle_grid(n_theta)
     values, poles = fibers(coll, split, z1)
-    kept = ~poles
-    width = values.shape[1]
-    return VarietySample(
-        points=list(zip(np.repeat(z1[kept], width).tolist(), values.ravel().tolist())),
-        kinds=(["V0"] * split.k + ["V1"] * (width - split.k)) * len(values),
-        residuals=[0.0] * values.size,
-        theta_grid=thetas[kept],
-        skipped_thetas=thetas[poles].tolist(),
-    )
+    return VarietySample(values=values, k=split.k, theta_grid=thetas[~poles],
+                         skipped_thetas=thetas[poles].tolist())
 
 
 @dataclass(frozen=True)
@@ -135,11 +128,7 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
             break
     kept = (np.abs(lam1) < 1.0) & (np.abs(lam2) <= 1.0 + 1e-10)
     lam1, lam2 = lam1[kept], lam2[kept]
-    values, poles = fibers(coll, split, lam1)
-    if poles.any():
-        # raises BoundaryPoleError with its cond
-        eval_tau(cnu_part(adjoint_transfer(coll), split), lam1[poles][0])
-    res = np.min(np.abs(values - lam2[:, None]), axis=1)
+    res = np.min(np.abs(_interior_fibers(coll, split, lam1) - lam2[:, None]), axis=1)
     return JointEigReport(entries=list(zip(lam1.tolist(), lam2.tolist(), res.tolist())),
                           failures=best_failures)
 
@@ -147,34 +136,33 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
 def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
     """Agreement of the variety with its swapped-pair counterpart.
 
-    Samples fibers of Psi over random interior z1 and measures how far z1
-    sits from the fiber of the swapped multiplier over z2, in both swap
+    Samples the fibers over random interior z1 and measures how far z1
+    sits from the fiber of the swapped pair over z2, in both swap
     directions; returns the worst residual.  Requires both contractions
     pure, the only case where the two constructions describe one variety.
     """
     for j, T in enumerate((pair.T1, pair.T2), start=1):
         require_pure(T, pair.tol.pure, f"symmetry check requires T{j} pure")
-    psi = analyze(pair).psi
-    psi_s = analyze(replace(pair, T1=pair.T2, T2=pair.T1)).psi
+    sides = (analyze(pair), analyze(replace(pair, T1=pair.T2, T2=pair.T1)))
     rng = np.random.default_rng(_SYMMETRY_SEED)
     worst = 0.0
-    for forward, backward in ((psi, psi_s), (psi_s, psi)):
+    for forward, backward in (sides, sides[::-1]):
         u = rng.uniform(size=(n_samples, 2))
         z1 = 0.95 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-        z2 = _interior_fibers(forward, z1)
-        if z2.size and not backward.dim:
-            raise NumericError("swapped multiplier has empty fiber")
-        back = _interior_fibers(backward, z2.ravel())
+        z2 = _interior_fibers(forward.coll, forward.split, z1)
+        back = _interior_fibers(backward.coll, backward.split, z2.ravel())
         dist = np.min(np.abs(back - np.repeat(z1, z2.shape[1])[:, None]), axis=1)
         worst = max(worst, float(np.max(dist, initial=0.0)))
     return worst
 
 
-def _interior_fibers(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
-    """Ordered eigenvalues of tf at each point of z; a pole is an error."""
-    values, poles = eval_tau_many(tf, z, mc.eigvals)
+def _interior_fibers(coll: Colligation, split: CanonicalSplit, z: np.ndarray) -> np.ndarray:
+    """:func:`fibers` over z where a pole is an error: raises
+    :class:`BoundaryPoleError` at the first pole."""
+    values, poles = fibers(coll, split, z)
     if poles.any():
-        eval_tau(tf, z[poles][0])  # raises BoundaryPoleError with its cond
+        # the same pole rule as fibers, so this raises with the pole's cond
+        eval_tau(cnu_part(adjoint_transfer(coll), split), z[poles][0])
     return values
 
 
@@ -183,19 +171,22 @@ def _interior_fibers(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _rows(sample: VarietySample):
-    """(theta, (z1, z2), kind, residual) per point; every theta has one
-    fiber of the same width."""
-    per_theta = len(sample.points) // len(sample.theta_grid) if len(sample.theta_grid) else 0
-    return zip(np.repeat(sample.theta_grid, per_theta), sample.points,
-               sample.kinds, sample.residuals)
+    """(theta, z1, z2, kind) per point, fiber by fiber."""
+    kinds = ["V0"] * sample.k + ["V1"] * (sample.values.shape[1] - sample.k)
+    z1s = np.exp(1j * sample.theta_grid).tolist()
+    for theta, z1, fiber in zip(sample.theta_grid.tolist(), z1s, sample.values.tolist()):
+        for z2, kind in zip(fiber, kinds):
+            yield theta, z1, z2, kind
 
 
 def sample_to_csv(sample: VarietySample) -> str:
+    """One row per point.  The ``residual`` column, the distance of a point
+    to its own fiber, is 0 by construction; it stays for the file format."""
     lines = ["theta,re_z1,im_z1,re_z2,im_z2,kind,residual"]
-    for theta, (z1, z2), kind, residual in _rows(sample):
+    for theta, z1, z2, kind in _rows(sample):
         lines.append(
             f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
-            f"{z2.real:.12e},{z2.imag:.12e},{kind},{residual:.12e}"
+            f"{z2.real:.12e},{z2.imag:.12e},{kind},{0.0:.12e}"
         )
     return "\n".join(lines) + "\n"
 
@@ -228,8 +219,8 @@ def sample_to_svg(sample: VarietySample) -> str:
             f'<text x="{panel + 10}" y="20" font-family="monospace" '
             f'font-size="14">{label}</text>'
         )
-    for theta, (z1, z2), kind, _ in _rows(sample):
-        color = _svg_color(float(theta))
+    for theta, z1, z2, kind in _rows(sample):
+        color = _svg_color(theta)
         x1, y1 = pt(z1, 0)
         x2, y2 = pt(z2, size + 40)
         parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>')

@@ -80,11 +80,6 @@ class BivariatePolynomial:
         a = np.abs(self.coeffs)
         return float(np.sum(a * j) + np.sum(a * k))
 
-    def to_dict(self) -> dict:
-        from .serialize import matrix_to_nested
-
-        return {"coeffs": matrix_to_nested(self.coeffs)}
-
 
 def _trim(c: np.ndarray) -> np.ndarray:
     if c.size == 0:

@@ -61,7 +61,8 @@ def test_criterion_01_zero_pair_closed_form():
         for z in interior_points(20, seed=m, radius=0.99):
             assert mc.operator_norm(av.eval_tau(psi, z) - z * np.eye(m)) <= 1e-12
         sample = av.boundary_samples(coll, split, 60)
-        assert all(abs(z2 - z1) <= 1e-10 for z1, z2 in sample.points)
+        z1 = np.exp(1j * sample.theta_grid)
+        assert np.all(np.abs(sample.values - z1[:, None]) <= 1e-10)
 
 
 @criterion(2, "colligation unitarity and defining action", budget=30.0)

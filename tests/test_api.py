@@ -30,3 +30,7 @@ def test_removed_wrappers_are_gone(name):
 def test_transfer_function_has_no_eval_method():
     assert not hasattr(av.TransferFunction, "eval")
     assert callable(av.eval_tau) and callable(av.fibers)
+
+
+def test_polynomial_has_no_to_dict():
+    assert not hasattr(av.BivariatePolynomial, "to_dict")

@@ -63,7 +63,7 @@ def ref_fiber(coll, split, z1):
 
 
 def ref_boundary_samples(coll, split, n_theta):
-    points, kinds, residuals, kept, skipped = [], [], [], [], []
+    rows, kept, skipped = [], [], []
     for j in range(n_theta):
         theta = 2.0 * np.pi * j / n_theta
         z1 = np.exp(1j * theta)
@@ -73,12 +73,13 @@ def ref_boundary_samples(coll, split, n_theta):
             skipped.append(theta)
             continue
         kept.append(theta)
+        row = []
         for z2, kind in fiber:
-            points.append((complex(z1), z2))
-            kinds.append(kind)
-            residuals.append(float(min(abs(z2 - f) for f, _ in fiber)))
-    return VarietySample(points=points, kinds=kinds, residuals=residuals,
-                         theta_grid=np.asarray(kept), skipped_thetas=skipped)
+            assert (kind == "V0") == (len(row) < split.k)
+            row.append(z2)
+        rows.append(row)
+    return VarietySample(values=np.array(rows, complex).reshape(len(kept), coll.r1),
+                         k=split.k, theta_grid=np.asarray(kept), skipped_thetas=skipped)
 
 
 def ref_sup_on_variety(p, coll, split, n_theta):

@@ -108,6 +108,14 @@ class TestColligation:
         np.testing.assert_allclose(B, np.eye(2), atol=1e-12)
         assert data["unitarity_residual"] <= 1e-12
 
+    def test_unitary_pair_has_empty_defects(self, tmp_path, capsys):
+        f = write_pair(tmp_path / "p.json", np.eye(2), np.eye(2))
+        code, out, _ = run(["colligation", f], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["r1"] == 0 and data["r2"] == 0
+        assert data["unitarity_residual"] == 0.0
+
 
 class TestToleranceContract:
     def test_validated_pair_reaches_the_colligation(self, tmp_path, capsys):
@@ -122,6 +130,48 @@ class TestToleranceContract:
         code, out, _ = run(["dilate", f], capsys)
         assert code == 2
         assert "spectral_radius" in json.loads(out)["details"]
+
+
+class TestToleranceOverrides:
+    @pytest.fixture
+    def edge_pair_file(self, tmp_path):
+        # ||T1|| exceeds 1 by 0.7e-10: inside the default 1e-10, outside half of it
+        return write_pair(tmp_path / "p.json", np.diag([1 + 0.7e-10, 0.3]),
+                          np.diag([0.2, 0.1]))
+
+    @pytest.mark.parametrize("flags, expected", [
+        ([], 0),
+        (["--strict"], 2),
+        (["--tol-contract", "1e-12"], 2),
+    ])
+    def test_contractivity_tolerance(self, edge_pair_file, capsys, flags, expected):
+        code, out, _ = run(["check", edge_pair_file, *flags], capsys)
+        assert code == expected
+        if expected == 2:
+            assert json.loads(out)["details"]["norm"] > 1.0
+
+    def test_negative_tolerance_exits_1(self, zero_pair_file, capsys):
+        code, _, err = run(["check", zero_pair_file, "--tol-pure", "-1"], capsys)
+        assert code == 1
+        assert "--tol-pure must be >= 0" in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["gen", "colligation", "variety", "vn", "dilate"])
+    def test_missing_directory_exits_1(self, zero_pair_file, poly_diff_file, tmp_path,
+                                       capsys, command):
+        target = str(tmp_path / "missing" / "out")
+        argv = {
+            "gen": ["gen", "diag", "-o", target],
+            "colligation": ["colligation", zero_pair_file, "-o", target],
+            "variety": ["variety", zero_pair_file, "--theta-samples", "8", "-o", target],
+            "vn": ["vn", zero_pair_file, poly_diff_file, "-o", target],
+            "dilate": ["dilate", zero_pair_file, "--truncation", "4", "--dump", target],
+        }[command]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write output file") and err.count("\n") == 1
 
 
 class TestVariety:

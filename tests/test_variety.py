@@ -50,6 +50,14 @@ class TestFibers:
         with pytest.raises(InputError):
             av.fibers(coll, split, 1.2)
 
+    def test_v0_only_variety_rejects_outside_disc(self):
+        # Psi_cnu has dimension 0, so nothing is evaluated at z1 = 5
+        J = np.array([[0, 0.5], [0, 0]], complex)
+        _, _, _, coll, split = build_pipeline(J, np.eye(2, dtype=complex))
+        assert split.k == coll.r1
+        with pytest.raises(InputError):
+            av.fibers(coll, split, [5.0])
+
 
 class TestMembership:
     def test_on_fiber_point(self, zero_pair_m2):
@@ -78,14 +86,15 @@ class TestBoundary:
         _, _, _, coll, split = zero_pair_m2
         sample = av.boundary_samples(coll, split, 64)
         assert len(sample) == 64 * 2
-        assert all(abs(z2 - z1) <= 1e-10 for z1, z2 in sample.points)
+        z1 = np.exp(1j * sample.theta_grid)
+        assert np.all(np.abs(sample.values - z1[:, None]) <= 1e-10)
 
     def test_identity_second_entry_boundary(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
         _, _, _, coll, split = build_pipeline(J, np.eye(2, dtype=complex))
         sample = av.boundary_samples(coll, split, 32)
-        assert all(k == "V0" for k in sample.kinds)
-        assert all(abs(z2 - 1.0) <= 1e-10 for _, z2 in sample.points)
+        assert sample.k == sample.values.shape[1] == 2  # every column is V0
+        assert np.all(np.abs(sample.values - 1.0) <= 1e-10)
 
     def test_v0_only_variety_skips_no_theta(self):
         # U = diag(i, 1) is unitary with V0 sheets only; D = [[1]] is singular
@@ -107,8 +116,7 @@ class TestBoundary:
         _, _, _, coll, split = build_pipeline(T1, T2)
         sample = av.boundary_samples(coll, split, 90)
         assert not sample.skipped_thetas
-        for _, z2 in sample.points:
-            assert abs(abs(z2) - 1.0) <= 1e-6
+        assert np.all(np.abs(np.abs(sample.values) - 1.0) <= 1e-6)
 
     @pytest.mark.parametrize("idx", range(4))
     def test_interior_fibers_stay_inside(self, idx):
