@@ -1,16 +1,14 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
-3 numeric failure.  The ANDOVAR_THREADS environment variable caps BLAS
-parallelism (via threadpoolctl when available); all library-level grid
-reductions are order-fixed and sequential, so outputs are reproducible for
-a fixed seed regardless of the cap.
+3 numeric failure.  BLAS parallelism is capped by the BLAS library's own
+environment variables (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS); all
+library-level grid reductions are order-fixed and sequential, so outputs
+are reproducible for a fixed seed regardless of the cap.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import sys
 
 import click
@@ -27,6 +25,7 @@ from .dilation import (
 )
 from .errors import AndovarError, InputError, NumericError, ValidationError
 from .pair_analysis import (
+    DEFAULT_TOL,
     GENERATOR_KINDS,
     ContractionPair,
     Tolerances,
@@ -49,33 +48,25 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-def _thread_limiter():
-    """Context manager honoring ANDOVAR_THREADS when threadpoolctl exists."""
-    raw = os.environ.get("ANDOVAR_THREADS")
-    if not raw:
-        return contextlib.nullcontext()
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        raise InputError(f"ANDOVAR_THREADS must be a positive integer, got {raw!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=cap)
+# each tolerance flag, the Tolerances field it overrides, and its help text
+_TOL_FLAGS = (
+    ("--tol-commute", "commute", "Commutation tolerance"),
+    ("--tol-contract", "contract", "Contractivity tolerance"),
+    ("--tol-pure", "pure", "Purity margin on the spectral radius"),
+    ("--rank-tol", "rank", "Defect rank threshold"),
+    ("--tol-trunc", "trunc", "Hardy-space truncation tail target"),
+)
 
 
 def _tolerances(ctx_params: dict) -> Tolerances:
     overrides = {}
-    for key, field in (("tol_commute", "commute"), ("tol_contract", "contract"),
-                       ("tol_pure", "pure"), ("rank_tol", "rank"),
-                       ("tol_trunc", "trunc")):
-        value = ctx_params.get(key)
+    for flag, name, _ in _TOL_FLAGS:
+        value = ctx_params.get(flag[2:].replace("-", "_"))
         if value is None:
             continue
-        if value < 0:
-            raise click.UsageError(f"--{key.replace('_', '-')} must be >= 0")
-        overrides[field] = value
+        if not value >= 0:  # also refuses NaN
+            raise click.UsageError(f"{flag} must be >= 0")
+        overrides[name] = value
     tol = Tolerances(**overrides)
     if ctx_params.get("strict"):
         tol = tol.halved()
@@ -83,20 +74,12 @@ def _tolerances(ctx_params: dict) -> Tolerances:
 
 
 def _tol_options(fn):
-    for decorator in reversed((
-        click.option("--tol-commute", type=float, default=None,
-                     help="Commutation tolerance (default 1e-10 * dim)."),
-        click.option("--tol-contract", type=float, default=None,
-                     help="Contractivity tolerance (default 1e-10)."),
-        click.option("--tol-pure", type=float, default=None,
-                     help="Purity margin on the spectral radius (default 1e-8)."),
-        click.option("--rank-tol", type=float, default=None,
-                     help="Defect rank threshold (default 1e-10)."),
-        click.option("--tol-trunc", type=float, default=None,
-                     help="Hardy-space truncation tail target (default 1e-9)."),
-        click.option("--strict", is_flag=True, help="Halve every tolerance."),
-    )):
-        fn = decorator(fn)
+    fn = click.option("--strict", is_flag=True, help="Halve every tolerance.")(fn)
+    for flag, name, text in reversed(_TOL_FLAGS):
+        default = getattr(DEFAULT_TOL, name)
+        shown = f"{DEFAULT_TOL.commute_for(1):g} * dim" if default is None else f"{default:g}"
+        fn = click.option(flag, type=float, default=None,
+                          help=f"{text} (default {shown}).")(fn)
     return fn
 
 
@@ -199,8 +182,7 @@ def vn(pair_file, poly_file, theta_samples, torus_grid, output, **params):
 @_tol_options
 def dilate(pair_file, truncation, dump, **params):
     """Build the truncated dilation; print residuals and bounds as JSON."""
-    tol = _tolerances(params)
-    pair = _read_pair(pair_file, tol)
+    pair = _read_pair(pair_file, _tolerances(params))
     analysis = analyze(pair)
     coll = analysis.coll
     if truncation == "auto":
@@ -210,7 +192,7 @@ def dilate(pair_file, truncation, dump, **params):
             N = int(truncation)
         except ValueError:
             raise click.UsageError("--truncation must be 'auto' or an integer")
-    dil = build_dilation(pair, coll, analysis.d1, N=N, tol_trunc=tol.trunc, tol_pure=tol.pure)
+    dil = build_dilation(pair, coll, analysis.d1, N=N)
     inter = intertwining_residuals(dil, pair)
     comp = compression_residuals(dil, pair)
     iso = mpsi_isometry_residual(dil, coll)
@@ -218,7 +200,7 @@ def dilate(pair_file, truncation, dump, **params):
         "N": dil.N,
         "rows": dil.rows,
         "tail_bound": dil.tail_bound,
-        "truncation_capped": dil.tail_bound >= tol.trunc,
+        "truncation_capped": dil.tail_bound >= pair.tol.trunc,
         "isometry_defect": mc.operator_norm(
             mc.adjoint(dil.Pi) @ dil.Pi - np.eye(dil.n)),
         "res_z": inter.res_z,
@@ -294,8 +276,7 @@ def demo(name, m):
 
 def main(argv=None) -> int:
     try:
-        with _thread_limiter():
-            cli.main(args=argv, standalone_mode=False)
+        cli.main(args=argv, standalone_mode=False)
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.UsageError as exc:

@@ -155,8 +155,8 @@ def build_colligation(pair: ContractionPair, d1: DefectData, d2: DefectData) -> 
     M_dom = np.vstack([mc.adjoint(E1) @ d1.D, mc.adjoint(E2) @ d2.D @ mc.adjoint(T1)])
     M_ran = np.vstack([mc.adjoint(E1) @ d1.D @ mc.adjoint(T2), mc.adjoint(E2) @ d2.D])
 
-    Ud, sd, Vdh = mc.svd(M_dom, full_matrices=True)
-    Ur, sr, _ = mc.svd(M_ran, full_matrices=True)
+    Ud, sd, Vdh = mc.svd(M_dom)
+    Ur, sr, _ = mc.svd(M_ran)
     smax = max(1.0, float(sd[0]) if sd.size else 0.0)
     thr = _FORCED_RANK_RTOL * smax
     rho = int(np.sum(sd > thr))

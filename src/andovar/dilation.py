@@ -118,15 +118,17 @@ class TruncatedDilation:
 
 
 def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
-                   N: int | None = None, tol_trunc: float = 1e-9,
-                   tol_pure: float = 1e-8) -> TruncatedDilation:
+                   N: int | None = None, tol_trunc: float | None = None,
+                   tol_pure: float | None = None) -> TruncatedDilation:
     """Materialize Pi and the symbol stack of M_Psi at truncation degree N.
 
     ``N=None`` selects the smallest degree whose tail norm falls below
     ``tol_trunc``.  An explicit N must dominate that degree and stay under
-    the global cap.
+    the global cap.  Both tolerances default to the pair's own.
     """
     T1 = pair.T1
+    tol_trunc = pair.tol.trunc if tol_trunc is None else tol_trunc
+    tol_pure = pair.tol.pure if tol_pure is None else tol_pure
     n_min = truncation_degree(T1, tol_trunc=tol_trunc, tol_pure=tol_pure)
     if N is None:
         N = n_min

@@ -94,7 +94,7 @@ def phase_fix_columns(U: np.ndarray, Vh: np.ndarray | None = None):
             continue
         ph = a / abs(a)
         U[:, j] = col / ph
-        if Vh is not None and j < Vh.shape[0]:
+        if Vh is not None:
             Vh[j, :] = Vh[j, :] * ph
     return U if Vh is None else (U, Vh)
 
@@ -161,19 +161,15 @@ def eigvals(M) -> np.ndarray:
     return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)
 
 
-def svd(M, full_matrices: bool = False):
-    """SVD with descending singular values and phase-fixed singular vectors."""
+def svd(M):
+    """Reduced SVD with descending singular values and phase-fixed singular
+    vectors."""
     A = as_matrix(M)
     try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=full_matrices)
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD failed to converge: {exc}") from exc
-    k = min(A.shape)
-    U[:, :k], Vh[:k, :] = phase_fix_columns(U[:, :k], Vh[:k, :])
-    if full_matrices and U.shape[1] > k:
-        U[:, k:] = phase_fix_columns(U[:, k:])
-    if full_matrices and Vh.shape[0] > k:
-        Vh[k:, :] = phase_fix_columns(Vh[k:, :].conj().T).conj().T
+    U, Vh = phase_fix_columns(U, Vh)
     return U, s, Vh
 
 

@@ -12,7 +12,7 @@ T*^m -> 0 strongly iff every eigenvalue lies strictly inside the unit disc.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "generate_pair",
     "GENERATOR_KINDS",
     "TRUNCATION_CAP",
+    "DEFAULT_TOL",
 ]
 
 TRUNCATION_CAP = 2000
@@ -46,8 +47,11 @@ TRUNCATION_CAP = 2000
 class Tolerances:
     """Numerical tolerances, overridable per run.
 
-    ``commute`` defaults to 1e-10 * dim and is resolved lazily so a single
-    Tolerances object works for any dimension.
+    The only place a tolerance value is written: every tolerance argument
+    in the library defaults to a field of ``DEFAULT_TOL``, and functions
+    that take a pair read ``pair.tol``.  ``commute`` defaults to
+    1e-10 * dim and is resolved lazily so a single Tolerances object works
+    for any dimension.
     """
 
     commute: float | None = None
@@ -70,13 +74,12 @@ class Tolerances:
 
     def halved(self) -> "Tolerances":
         """Strict mode: every tolerance halved."""
-        return Tolerances(
-            commute=None if self.commute is None else 0.5 * self.commute,
-            contract=0.5 * self.contract,
-            pure=0.5 * self.pure,
-            rank=0.5 * self.rank,
-            trunc=0.5 * self.trunc,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return Tolerances(**{name: None if v is None else 0.5 * v
+                             for name, v in values.items()})
+
+
+DEFAULT_TOL = Tolerances()
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class ContractionPair:
     @classmethod
     def create(cls, T1, T2, tol: Tolerances | None = None) -> "ContractionPair":
         """Validate and wrap; raises one of the ValidationError subclasses."""
-        tol = tol or Tolerances()
+        tol = tol or DEFAULT_TOL
         A = mc.as_matrix(T1, "T1")
         B = mc.as_matrix(T2, "T2")
         validate_pair(A, B, tol)
@@ -129,7 +132,7 @@ def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
     Rejects only on dimension, commutation or contraction failure; purity is
     reported, not enforced.
     """
-    tol = tol or Tolerances()
+    tol = tol or DEFAULT_TOL
     A = mc.as_matrix(T1, "T1")
     B = mc.as_matrix(T2, "T2")
     if A.shape[0] != A.shape[1] or B.shape[0] != B.shape[1]:
@@ -169,8 +172,12 @@ def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
     )
 
 
-def defect(T, rank_tol: float = 1e-10, contract_tol: float = 1e-10) -> DefectData:
+def defect(T, rank_tol: float = DEFAULT_TOL.rank,
+           contract_tol: float = DEFAULT_TOL.defect_slack()) -> DefectData:
     """Defect operator D = (I - T T*)^(1/2) with a basis of its range.
+
+    I - T T* may have eigenvalues down to ``-contract_tol``; the default is
+    the slack that validation accepts.
 
     The rank counts eigenvalues of I - T T* above
     ``rank_tol * max(1, ||I - T T*||)``; the basis columns are the matching
@@ -205,7 +212,8 @@ def require_pure(T, tol_pure: float, message: str) -> None:
         raise PurityError(message, spectral_radius=rho)
 
 
-def truncation_degree(T1, tol_trunc: float = 1e-9, tol_pure: float = 1e-8) -> int:
+def truncation_degree(T1, tol_trunc: float = DEFAULT_TOL.trunc,
+                      tol_pure: float = DEFAULT_TOL.pure) -> int:
     """Smallest N with ||T1*^N|| < tol_trunc, capped at ``TRUNCATION_CAP``.
 
     Brackets N by repeated squaring, then binary-searches for the smallest

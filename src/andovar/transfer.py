@@ -23,7 +23,7 @@ import numpy as np
 from . import matrix_core as mc
 from .colligation import Colligation, build_colligation
 from .errors import BoundaryPoleError, InputError, NumericError, ValidationError
-from .pair_analysis import ContractionPair, DefectData, defect
+from .pair_analysis import DEFAULT_TOL, ContractionPair, DefectData, defect
 
 __all__ = [
     "TransferFunction",
@@ -178,7 +178,7 @@ class CanonicalSplit:
         return self.H0.shape[1]
 
 
-def canonical_split(M, tol_pure: float = 1e-8) -> CanonicalSplit:
+def canonical_split(M, tol_pure: float = DEFAULT_TOL.pure) -> CanonicalSplit:
     """Split a contraction into unitary (+) completely-non-unitary parts.
 
     The unitary subspace is spanned by eigenvectors whose eigenvalue modulus

@@ -220,8 +220,7 @@ def test_criterion_11_sharpness_witness():
 
 
 @criterion(12, "deterministic outputs and reductions")
-def test_criterion_12_determinism(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("ANDOVAR_THREADS", "1")
+def test_criterion_12_determinism(tmp_path, capsys):
     pair_file = tmp_path / "pair.json"
     assert cli_main(["gen", "triangular-commuting", "--dim", "4", "--seed", "42",
                      "-o", str(pair_file)]) == 0

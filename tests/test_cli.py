@@ -151,9 +151,11 @@ class TestToleranceOverrides:
             assert json.loads(out)["details"]["norm"] > 1.0
 
     def test_negative_tolerance_exits_1(self, zero_pair_file, capsys):
-        code, _, err = run(["check", zero_pair_file, "--tol-pure", "-1"], capsys)
-        assert code == 1
-        assert "--tol-pure must be >= 0" in err
+        # NaN fails every comparison, so it must be refused, not let through
+        for value in ("-1", "nan"):
+            code, _, err = run(["check", zero_pair_file, "--tol-pure", value], capsys)
+            assert code == 1, value
+            assert "--tol-pure must be >= 0" in err
 
 
 class TestUnwritableOutput:
@@ -316,8 +318,7 @@ class TestDemo:
 
 
 class TestDeterminism:
-    def test_variety_byte_identical(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ANDOVAR_THREADS", "1")
+    def test_variety_byte_identical(self, tmp_path, capsys):
         f = tmp_path / "pair.json"
         run(["gen", "triangular-commuting", "--dim", "4", "--seed", "42",
              "-o", str(f)], capsys)
@@ -330,8 +331,7 @@ class TestDeterminism:
             outs.append(out_path.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_vn_byte_identical(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ANDOVAR_THREADS", "1")
+    def test_vn_byte_identical(self, tmp_path, capsys):
         f = tmp_path / "pair.json"
         run(["gen", "diag", "--dim", "3", "--seed", "5", "-o", str(f)], capsys)
         poly = tmp_path / "poly.json"

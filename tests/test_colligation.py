@@ -3,6 +3,8 @@ series identity."""
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,47 @@ class TestInvariants:
         _, _, _, coll_a, _ = build_pipeline(T1, T2)
         _, _, _, coll_b, _ = build_pipeline(T1.copy(), T2.copy())
         np.testing.assert_array_equal(coll_a.matrix, coll_b.matrix)
+
+
+class TestLaterCompletionStages:
+    """Pairs the block-swap direction cannot complete on its own."""
+
+    # T1, T2 and whether the eigenbasis pairing finishes the completion;
+    # without it the identity direction does
+    CASES = {
+        "identity-direction": (np.diag([0.5, np.exp(1j)]), np.diag([0, 0.5]), False),
+        "eigenbasis-pairing": (np.zeros((2, 2)), np.diag([np.exp(1j), 0]), True),
+    }
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["pair", "swapped"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_completion(self, case, swap, monkeypatch):
+        T1, T2, eigenbasis = self.CASES[case]
+        if swap:
+            T1, T2 = T2, T1
+        pair = av.ContractionPair.create(T1, T2)
+        d1, d2 = av.defect(pair.T1), av.defect(pair.T2)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in ("svd", "herm_eig"):
+                m.setattr(mc, name, counted(name, getattr(mc, name)))
+            coll = av.build_colligation(pair, d1, d2)
+        # two SVDs of the forced action, then one per direction tried; the
+        # eigenbasis pairing diagonalizes both leftover projections
+        assert calls["svd"] == 4
+        assert calls["herm_eig"] == (2 if eigenbasis else 0)
+        assert coll.unitarity_residual() <= 1e-10
+        H = random_unit_vectors(2, 100, seed=5)
+        assert np.max(action_residuals(pair, d1, d2, coll, H)) <= 1e-10
+        again = av.analyze(av.ContractionPair.create(T1.copy(), T2.copy())).coll
+        np.testing.assert_array_equal(coll.matrix, again.matrix)
 
 
 class TestSeriesIdentity:

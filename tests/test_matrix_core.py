@@ -98,12 +98,6 @@ class TestSvd:
         assert np.all(np.diff(s) <= 1e-12)
         np.testing.assert_allclose((U * s) @ Vh, A, atol=1e-12)
 
-    def test_full_matrices_unitary(self):
-        A = _random_matrix(4, 7)[:, :2]
-        U, s, Vh = mc.svd(A, full_matrices=True)
-        assert U.shape == (4, 4)
-        np.testing.assert_allclose(U.conj().T @ U, np.eye(4), atol=1e-12)
-
 
 class TestHelpers:
     def test_spectral_radius(self):
