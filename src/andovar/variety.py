@@ -170,24 +170,23 @@ def _interior_fibers(coll: Colligation, split: CanonicalSplit, z: np.ndarray) ->
 # Output formats
 # ---------------------------------------------------------------------------
 
-def _rows(sample: VarietySample):
-    """(theta, z1, z2, kind) per point, fiber by fiber."""
+def _fiber_rows(sample: VarietySample):
+    """(theta, z1, (z2, kind) pairs of its fiber) per kept theta."""
     kinds = ["V0"] * sample.k + ["V1"] * (sample.values.shape[1] - sample.k)
     z1s = np.exp(1j * sample.theta_grid).tolist()
     for theta, z1, fiber in zip(sample.theta_grid.tolist(), z1s, sample.values.tolist()):
-        for z2, kind in zip(fiber, kinds):
-            yield theta, z1, z2, kind
+        yield theta, z1, zip(fiber, kinds)
 
 
 def sample_to_csv(sample: VarietySample) -> str:
     """One row per point.  The ``residual`` column, the distance of a point
-    to its own fiber, is 0 by construction; it stays for the file format."""
+    to its own fiber, is 0 by construction; it stays for the file format.
+    The (theta, z1) fields are formatted once per fiber."""
     lines = ["theta,re_z1,im_z1,re_z2,im_z2,kind,residual"]
-    for theta, z1, z2, kind in _rows(sample):
-        lines.append(
-            f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
-            f"{z2.real:.12e},{z2.imag:.12e},{kind},{0.0:.12e}"
-        )
+    for theta, z1, points in _fiber_rows(sample):
+        head = f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
+        lines.extend(f"{head}{z2.real:.12e},{z2.imag:.12e},{kind},0.000000000000e+00"
+                     for z2, kind in points)
     return "\n".join(lines) + "\n"
 
 
@@ -219,14 +218,16 @@ def sample_to_svg(sample: VarietySample) -> str:
             f'<text x="{panel + 10}" y="20" font-family="monospace" '
             f'font-size="14">{label}</text>'
         )
-    for theta, z1, z2, kind in _rows(sample):
+    for theta, z1, points in _fiber_rows(sample):
         color = _svg_color(theta)
         x1, y1 = pt(z1, 0)
-        x2, y2 = pt(z2, size + 40)
-        parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>')
-        stroke = ' stroke="black" stroke-width="0.6"' if kind == "V0" else ""
-        parts.append(
-            f'<circle cx="{x2:.2f}" cy="{y2:.2f}" r="2" fill="{color}"{stroke}/>'
-        )
+        z1_circle = f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>'
+        for z2, kind in points:
+            x2, y2 = pt(z2, size + 40)
+            parts.append(z1_circle)
+            stroke = ' stroke="black" stroke-width="0.6"' if kind == "V0" else ""
+            parts.append(
+                f'<circle cx="{x2:.2f}" cy="{y2:.2f}" r="2" fill="{color}"{stroke}/>'
+            )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.errors import BoundaryPoleError, InputError, ValidationError
-from andovar.transfer import TransferFunction
+from andovar.transfer import TransferFunction, circle_grid
 
 from conftest import build_pipeline, interior_points, make_suite
+from test_boundary_evaluator import pole_at_one, ref_eval_tau
 
 
 def random_colligation(n1, n2, seed):
@@ -61,6 +63,14 @@ class TestEval:
         tf = random_colligation(2, 2, seed=3)
         with pytest.raises(InputError):
             av.eval_tau(tf, 1.5)
+
+    def test_rejects_nan_points(self):
+        tf = random_colligation(2, 2, seed=3)
+        with pytest.raises(InputError):
+            av.eval_tau(tf, np.nan)
+        for z in ([np.nan], [0.5, np.nan]):
+            with pytest.raises(InputError):
+                av.eval_tau_many(tf, z, mc.eigvals)
 
     def test_boundary_pole_detected(self):
         # D-block norm 1 forces B = C = 0; the resolvent blows up at z = 1
@@ -195,6 +205,80 @@ class TestBoundaryScan:
         scan = av.boundary_scan(tf, n_theta=8)
         assert len(scan.skipped) >= 1
         assert 0.0 in scan.skipped
+
+
+def assert_matches_the_pole_rule(tf, z):
+    """eval_tau_many against the per-point cond rule: same mask, same
+    values, and each pole raising with the reference cond."""
+    want, conds = [], []
+    for point in z:
+        try:
+            want.append(ref_eval_tau(tf, point))
+        except BoundaryPoleError as exc:
+            conds.append(exc.cond)
+    values, poles = av.eval_tau_many(tf, z, lambda v: v)
+    assert int(poles.sum()) == len(conds)
+    np.testing.assert_array_equal(values, np.array(want).reshape(values.shape))
+    for point, cond in zip(z[poles], conds):
+        with pytest.raises(BoundaryPoleError) as info:
+            av.eval_tau(tf, point)
+        assert info.value.cond == cond
+
+
+def near_pole_points(D):
+    """For each eigenvalue lambda of D: the circle point nearest to 1/lambda,
+    and 1/lambda itself when the disc check accepts it."""
+    out = []
+    for lam in np.linalg.eigvals(D):
+        if lam == 0:
+            continue
+        z = 1.0 / lam
+        out.append(z / abs(z))
+        if abs(z) <= 1.0 + 1e-12:
+            out.append(z)
+    return np.array(out, complex)
+
+
+class TestPoleScreen:
+    def test_no_pole_svd_when_the_norm_rules_out_poles(self, monkeypatch):
+        _, _, _, coll, _ = build_pipeline(*av.generate_pair("jordan-poly", 8, 11))
+        psi = av.adjoint_transfer(coll)
+        assert mc.operator_norm(psi.D) < 0.99
+        stacked = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacked.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        values, poles = av.eval_tau_many(psi, circle_grid(720)[1], lambda v: v)
+        assert stacked == []
+        assert values.shape == (720, psi.dim, psi.dim) and not poles.any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.0, 14.0), st.integers(1, 5), st.booleans(), st.integers(0, 10**6))
+    @example(14.0, 3, True, 0)  # cond about 2e14 at the circle points nearest the poles
+    def test_screen_keeps_the_pole_rule(self, s, k, normal, seed):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        if normal:  # spectral radius = norm puts the poles on the circle
+            Q = np.linalg.qr(G)[0]
+            lam = rng.uniform(0.5, 1.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+            G = Q @ np.diag(lam) @ Q.conj().T
+        D = G * ((1.0 - 10.0 ** -s) / np.linalg.norm(G, 2))
+        tf = TransferFunction(A=rng.normal(size=(2, 2)) + 0j, B=rng.normal(size=(2, k)) + 0j,
+                              C=rng.normal(size=(k, 2)) + 0j, D=D)
+        z = np.concatenate([np.exp(2j * np.pi * rng.uniform(size=8)),
+                            interior_points(8, seed), near_pole_points(D)])
+        assert_matches_the_pole_rule(tf, z)
+
+    def test_norm_one_pole_keeps_the_pole_rule(self):
+        psi = av.adjoint_transfer(pole_at_one()[0])
+        z = np.concatenate([[1.0, -1.0, 1j], np.exp(2j * np.pi * np.arange(16) / 16),
+                            interior_points(8, 4), near_pole_points(psi.D)])
+        assert_matches_the_pole_rule(psi, z)
 
 
 class TestTaylorSymbols:

@@ -13,6 +13,7 @@ from andovar.errors import BoundaryPoleError, InputError, NumericError, PurityEr
 from andovar.vn import BivariatePolynomial, sup_on_variety
 
 from conftest import build_pipeline, interior_points, make_suite
+from test_boundary_evaluator import ALL_V0, NEAR_POLE
 
 
 class TestFibers:
@@ -57,6 +58,12 @@ class TestFibers:
         assert split.k == coll.r1
         with pytest.raises(InputError):
             av.fibers(coll, split, [5.0])
+
+    def test_nan_points_are_refused(self):
+        _, _, _, coll, split = build_pipeline(*ALL_V0)
+        for z in ([np.nan], [0.5, np.nan]):
+            with pytest.raises(InputError):
+                av.fibers(coll, split, z)
 
 
 class TestMembership:
@@ -218,3 +225,20 @@ class TestOutputs:
         assert len(lines) == 1 + 16 * 2
         svg = sample_to_svg(sample)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize("T1, T2", [av.generate_pair("triangular-commuting", 5, 70),
+                                        ALL_V0, NEAR_POLE],
+                             ids=["generated", "all-V0", "near-pole"])
+    def test_csv_matches_a_per_point_formatter(self, T1, T2):
+        from andovar.variety import sample_to_csv
+
+        _, _, _, coll, split = build_pipeline(T1, T2)
+        sample = av.boundary_samples(coll, split, 97)
+        lines = ["theta,re_z1,im_z1,re_z2,im_z2,kind,residual"]
+        z1s = np.exp(1j * sample.theta_grid)
+        for theta, z1, fiber in zip(sample.theta_grid, z1s, sample.values):
+            for j, z2 in enumerate(fiber):
+                kind = "V0" if j < sample.k else "V1"
+                lines.append(f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
+                             f"{z2.real:.12e},{z2.imag:.12e},{kind},{0.0:.12e}")
+        assert sample_to_csv(sample) == "\n".join(lines) + "\n"
