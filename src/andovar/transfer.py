@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e14
+# how far past the unit circle a point may lie and still count as in the
+# closed disc (or on the circle): a few ulps of e^{i theta} are 1e-16
+_DISC_TOL = 1e-12
 # largest ||H0* M H1|| or ||H1* M H0|| accepted by canonical_split
 _OFFDIAG_TOL = 1e-8
 # points per stacked evaluation; stacking whole 720-point grids at dims
@@ -63,6 +66,11 @@ class TransferFunction:
     @property
     def dim(self) -> int:
         return self.A.shape[0]
+
+    @functools.cached_property
+    def d_norm(self) -> float:
+        """||D||_2, for the pole screen of :func:`_eval_chunk`."""
+        return mc.operator_norm(self.D)
 
 
 def adjoint_transfer(coll: Colligation) -> TransferFunction:
@@ -99,7 +107,7 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray):
     if k == 0:
         return np.repeat(tf.A[None], z.size, axis=0), np.ones(z.size)
     R = np.eye(k) - z[:, None, None] * tf.D
-    a = np.abs(z) * mc.operator_norm(tf.D)
+    a = np.abs(z) * tf.d_norm
     cond = np.divide(1.0 + a, 1.0 - a, out=np.full(z.size, np.inf), where=a < 1.0)
     rest = cond > _COND_LIMIT / 100
     try:
@@ -117,13 +125,14 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray):
 
 
 def disc_points(z) -> np.ndarray:
-    """z as a flat complex array; InputError unless every |z_i| <= 1.
+    """z as a flat complex array; InputError unless every |z_i| <= 1
+    (within ``_DISC_TOL``).
 
     A NaN point fails the test and is refused too.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
     r = np.abs(z)
-    if not np.all(r <= 1.0 + 1e-12):
+    if not np.all(r <= 1.0 + _DISC_TOL):
         raise InputError("transfer function evaluated outside the closed disc: "
                          f"|z|={np.max(r)}")
     return z

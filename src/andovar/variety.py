@@ -19,6 +19,7 @@ from .colligation import Colligation
 from .errors import NumericError
 from .pair_analysis import ContractionPair, require_pure
 from .transfer import (
+    _DISC_TOL,
     CanonicalSplit,
     adjoint_transfer,
     analyze,
@@ -66,13 +67,22 @@ def fibers(coll: Colligation, split: CanonicalSplit, z1):
     point is a pole of Psi_cnu by the rule of :func:`eval_tau_many`; when
     Psi_cnu has dimension 0 nothing is evaluated, so no point is a pole.
     Every |z1_i| must be at most 1.
+
+    Psi_cnu is unitary on the circle, so when every |z1_i| is 1 within
+    ``_DISC_TOL`` its eigenvalues come from the Hermitian Cayley solve
+    :func:`matrix_core.unitary_eigvals`, which agrees with
+    :func:`matrix_core.eigvals` within 1e-13 and puts every V1 value on
+    the circle to rounding.  Any other z1, interior points included, is
+    solved by :func:`matrix_core.eigvals`.
     """
     if coll.r1 == 0:
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
     z1 = disc_points(z1)
     psi_cnu = cnu_part(adjoint_transfer(coll), split)
     if psi_cnu.dim:
-        v1, poles = eval_tau_many(psi_cnu, z1, mc.eigvals)
+        on_circle = np.all(np.abs(np.abs(z1) - 1.0) <= _DISC_TOL)
+        v1, poles = eval_tau_many(psi_cnu, z1,
+                                  mc.unitary_eigvals if on_circle else mc.eigvals)
     else:
         v1, poles = np.zeros((z1.size, 0), complex), np.zeros(z1.size, bool)
     return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1]), poles
@@ -84,7 +94,8 @@ def boundary_samples(coll: Colligation, split: CanonicalSplit,
 
     ``values`` is the :func:`fibers` array of the kept thetas: each row
     lists its V0 points, then its V1 points, each group ordered by
-    (real, imag).
+    (real, imag).  Every z1 is on the circle, so the V1 points come from
+    the Hermitian Cayley solve (see :func:`fibers`).
     """
     thetas, z1 = circle_grid(n_theta)
     values, poles = fibers(coll, split, z1)

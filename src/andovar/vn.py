@@ -122,7 +122,10 @@ def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
 
     V1 contributes (e^{i theta}, eig(Psi_cnu(e^{i theta}))); V0 contributes
     (e^{i theta}, lambda) for lambda in sigma(W), the maximum principle
-    having pushed the first coordinate of V0 to the circle.
+    having pushed the first coordinate of V0 to the circle.  The V1 values
+    come from one :func:`fibers` call on the grid, which solves the unitary
+    Psi_cnu(e^{i theta}) by the Hermitian Cayley route of
+    :func:`matrix_core.unitary_eigvals` (within 1e-13 of ``eigvals``).
     """
     _, z1 = circle_grid(n_theta)
     z2, poles = fibers(coll, split, z1)

@@ -2,9 +2,12 @@
 
 The reference functions below evaluate the transfer function one point at a
 time, with one condition-number SVD and one solve per point, exactly as the
-library did before its loops were stacked.  The arithmetic is unchanged, so
-the outputs must agree bit for bit; only the variety sup, whose polynomial
-is evaluated on the whole grid at once, is compared within 1e-12.
+library did before its loops were stacked.  At circle points they take the
+fiber eigenvalues from ``unitary_eigvals`` of the single value, as the
+library does for a whole chunk, and at interior points from ``eigvals``.
+The arithmetic is unchanged, so the outputs must agree bit for bit; only
+the variety sup, whose polynomial is evaluated on the whole grid at once, is
+compared within 1e-12.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def ref_fiber(coll, split, z1):
     sub = av.cnu_part(av.adjoint_transfer(coll), split)
     v0 = [(complex(lam), "V0") for lam in split.lambdas]
     val = ref_eval_tau(sub, z1)
-    v1 = [(complex(lam), "V1") for lam in mc.eigvals(val)] if val.size else []
+    v1 = [(complex(lam), "V1") for lam in mc.unitary_eigvals(val[None])[0]] if val.size else []
     return v0 + v1
 
 
@@ -90,7 +93,7 @@ def ref_sup_on_variety(p, coll, split, n_theta):
         vals = [np.asarray(split.lambdas)] if split.k else []
         if psi_cnu.dim:
             try:
-                vals.append(mc.eigvals(ref_eval_tau(psi_cnu, z1)))
+                vals.append(mc.unitary_eigvals(ref_eval_tau(psi_cnu, z1)[None])[0])
             except BoundaryPoleError:
                 skipped += 1
                 continue

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import andovar as av
 import andovar.matrix_core as mc
 from andovar.errors import InputError
+from andovar.pair_analysis import GENERATOR_KINDS
+from andovar.transfer import circle_grid
 
 
 def _random_matrix(n, seed, hermitian=False, unitary=False):
@@ -110,3 +113,106 @@ class TestHelpers:
         X = _random_matrix(5, 13)
         Q = mc.polar_unitary(X)
         np.testing.assert_allclose(Q.conj().T @ Q, np.eye(5), atol=1e-12)
+
+
+def _matched_distance(a, b):
+    """Largest |a_i - b_j| over a greedy nearest pairing of two spectra."""
+    rest, worst = list(b), 0.0
+    for x in a:
+        j = int(np.argmin(np.abs(np.asarray(rest) - x)))
+        worst = max(worst, abs(rest.pop(j) - x))
+    return worst
+
+
+def _assert_matches_eigvals(U, tol=1e-13):
+    got = mc.unitary_eigvals(U)
+    for row, u in zip(got, U):
+        assert _matched_distance(row, np.linalg.eigvals(u)) <= tol
+
+
+def _pole_preimage(w):
+    """A double u with POLE * u == w exactly, as the solver forms omega * U."""
+    pole = np.full(1, mc._CAYLEY_POLE)
+    base = np.conj(mc._CAYLEY_POLE) * w
+    for i in range(-8, 9):
+        for j in range(-8, 9):
+            u = complex(base.real + i * np.spacing(base.real),
+                        base.imag + j * np.spacing(base.imag))
+            if (pole * np.full(1, u))[0] == w:
+                return u
+    raise AssertionError(f"no exact preimage of {w} near {base}")
+
+
+class TestUnitaryEigvals:
+    @pytest.mark.parametrize("r", [4, 5, 8, 13, 24, 40])
+    def test_random_unitaries_match_eigvals(self, r):
+        U = np.stack([_random_matrix(r, 1000 * r + s, unitary=True) for s in range(40)])
+        _assert_matches_eigvals(U)
+
+    def test_psi_values_of_generated_pairs_match_eigvals(self):
+        for kind in GENERATOR_KINDS:
+            for dim in (4, 8, 16):
+                a = av.analyze(av.ContractionPair.create(*av.generate_pair(kind, dim, dim)))
+                psi_cnu = av.cnu_part(a.psi, a.split)
+                assert psi_cnu.dim >= 4  # past the eigvals cutoff
+                values, _ = av.eval_tau_many(psi_cnu, circle_grid(97)[1], lambda v: v)
+                _assert_matches_eigvals(values)
+
+    def test_eigenvalue_at_the_first_pole(self, monkeypatch):
+        # one eigenvalue of U at -1/omega: I + omega U is singular to rounding
+        Q = _random_matrix(6, 7, unitary=True)
+        lam = np.exp(1j * np.array([np.pi - 1.0, 0.2, 1.1, 2.0, -2.5, -0.7]))
+        U = (Q * lam) @ Q.conj().T
+        poles = []
+        cayley = mc._cayley_eigvals
+        monkeypatch.setattr(mc, "_cayley_eigvals",
+                            lambda U, omega: poles.append(omega) or cayley(U, omega))
+        _assert_matches_eigvals(U[None])
+        assert len(poles) == 2 and poles[1][0] != mc._CAYLEY_POLE  # re-solved once
+
+    @pytest.mark.parametrize("z", [np.exp(0.3j), -np.conj(mc._CAYLEY_POLE), -1.0, 1.0])
+    def test_repeated_eigenvalue(self, z):
+        _assert_matches_eigvals((z * np.eye(8))[None])
+
+    def test_exactly_singular_cayley_denominator(self):
+        # omega U = [[(-1+i)/2, (1+i)/2], [(1+i)/2, (-1+i)/2]] in floating point,
+        # a unitary whose I + omega U has two equal rows
+        w_diag, w_off = (-1 + 1j) / 2, (1 + 1j) / 2
+        U = np.diag([0, 0, np.exp(0.5j), np.exp(2j)]).astype(complex)
+        U[0, 0] = U[1, 1] = _pole_preimage(w_diag)
+        U[0, 1] = U[1, 0] = _pole_preimage(w_off)
+        W = np.full(1, mc._CAYLEY_POLE)[:, None, None] * U[None]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(np.eye(4) + W)
+        _assert_matches_eigvals(U[None])
+        stack = np.stack([_random_matrix(4, s, unitary=True) for s in range(5)] + [U])
+        got = mc.unitary_eigvals(stack)
+        for row, u in zip(got, stack):
+            np.testing.assert_array_equal(row, mc.unitary_eigvals(u[None])[0])
+
+    def test_rows_of_a_stack_equal_single_calls(self):
+        Q = _random_matrix(12, 3, unitary=True)
+        pole = (Q * np.exp(1j * np.linspace(np.pi - 1.0, 5.0, 12))) @ Q.conj().T
+        stack = np.stack([_random_matrix(12, 500 + s, unitary=True) for s in range(63)] + [pole])
+        got = mc.unitary_eigvals(stack)
+        for row, u in zip(got, stack):
+            np.testing.assert_array_equal(row, mc.unitary_eigvals(u[None])[0])
+
+    def test_rows_are_ordered_by_real_then_imag(self):
+        got = mc.unitary_eigvals(np.stack([_random_matrix(9, s, unitary=True) for s in range(8)]))
+        for row in got:
+            assert list(row) == sorted(row, key=lambda x: (x.real, x.imag))
+
+    def test_below_four_is_eigvals(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        for r in (1, 2, 3):
+            U = np.stack([_random_matrix(r, s, unitary=True) for s in range(6)])
+            np.testing.assert_array_equal(mc.unitary_eigvals(U), mc.eigvals(U))
+        assert not calls
+        mc.unitary_eigvals(_random_matrix(4, 0, unitary=True)[None])
+        assert calls
+
+    def test_empty_stack(self):
+        assert mc.unitary_eigvals(np.zeros((0, 6, 6), complex)).shape == (0, 6)

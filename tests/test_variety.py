@@ -135,6 +135,33 @@ class TestBoundary:
         assert np.all(np.abs(values) < 1.0)
 
 
+class TestFiberSolver:
+    """Circle fibers take the Hermitian Cayley solve; interior ones do not.
+    Its accuracy is tested in test_matrix_core, its batching against the
+    per-point loop in test_boundary_evaluator."""
+
+    @pytest.fixture
+    def eigvalsh_calls(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        return calls
+
+    def test_interior_points_never_call_eigvalsh(self, eigvalsh_calls):
+        T1, T2 = av.generate_pair("triangular-commuting", 8, 3)
+        pair = av.ContractionPair.create(T1, T2)
+        a = av.analyze(pair)
+        assert av.cnu_part(a.psi, a.split).dim >= 4
+        av.fibers(a.coll, a.split, interior_points(20, seed=1))
+        # one circle point among interior ones keeps the general solver
+        av.fibers(a.coll, a.split, np.append(interior_points(5, seed=2), 1.0))
+        av.symmetry_residual(pair, 4)
+        av.joint_eig_membership(pair, a.coll, a.split)
+        assert not eigvalsh_calls
+        av.fibers(a.coll, a.split, np.exp(1j * np.arange(5)))
+        assert eigvalsh_calls
+
+
 class TestJointEigenvalues:
     def test_explicit_diagonal_pair(self):
         T1 = np.diag([0.3, 0.4]).astype(complex)
