@@ -29,7 +29,6 @@ from .pair_analysis import (
     Tolerances,
     defect,
     generate_pair,
-    require_pure,
     truncation_degree,
     validate_pair,
 )

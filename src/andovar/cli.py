@@ -9,6 +9,7 @@ are reproducible for a fixed seed regardless of the cap.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -30,8 +31,6 @@ from .pair_analysis import (
     ContractionPair,
     Tolerances,
     generate_pair,
-    require_pure,
-    validate_pair,
 )
 from .transfer import analyze, boundary_scan
 from .variety import boundary_samples, sample_to_csv, sample_to_svg
@@ -64,8 +63,8 @@ def _tolerances(ctx_params: dict) -> Tolerances:
         value = ctx_params.get(flag[2:].replace("-", "_"))
         if value is None:
             continue
-        if not value >= 0:  # also refuses NaN
-            raise click.UsageError(f"{flag} must be >= 0")
+        if not math.isfinite(value) or value < 0:
+            raise click.UsageError(f"{flag} must be >= 0 and finite")
         overrides[name] = value
     tol = Tolerances(**overrides)
     if ctx_params.get("strict"):
@@ -118,9 +117,7 @@ def cli():
 @_tol_options
 def check(pair_file, **params):
     """Validate a pair file; print the analysis report as JSON."""
-    tol = _tolerances(params)
-    T1, T2 = serialize.pair_from_json(_read_text(pair_file, "pair"))
-    report = validate_pair(T1, T2, tol)
+    report = _read_pair(pair_file, _tolerances(params)).report
     click.echo(serialize.dumps(report.to_dict()), nl=False)
 
 
@@ -147,8 +144,7 @@ def colligation(pair_file, output, **params):
 def variety(pair_file, theta_samples, output, fmt, **params):
     """Sample the variety boundary; write CSV or a static scatter SVG."""
     pair = _read_pair(pair_file, _tolerances(params))
-    require_pure(pair.T1, pair.tol.pure,
-                 "this command requires a pure T1 (spectral radius < 1)")
+    pair.require_pure(1)
     analysis = analyze(pair)
     sample = boundary_samples(analysis.coll, analysis.split, theta_samples)
     render = sample_to_csv if fmt == "csv" else sample_to_svg

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .errors import NumericError, ValidationError
-from .pair_analysis import ContractionPair, DefectData, require_pure
+from .pair_analysis import ContractionPair, DefectData
 
 __all__ = ["Colligation", "build_colligation", "defect_series_residuals"]
 
@@ -214,8 +214,8 @@ def defect_series_residuals(pair: ContractionPair, coll: Colligation,
     since the series only converges when T1*^m h dies out; purity is
     judged by the pair's own tolerance.
     """
+    pair.require_pure(1)
     T1 = pair.T1
-    require_pure(T1, pair.tol.pure, "series residuals require a pure T1")
     h = np.asarray(h, dtype=complex).reshape(-1)
     E1 = d1.basis
     target = mc.adjoint(E1) @ d1.D @ mc.adjoint(pair.T2) @ h

@@ -245,10 +245,12 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation) -> MPsiIso
     The raw residual ||MPsi* MPsi - I|| always carries the chopped Toeplitz
     corner.  The restricted residual confines both indices to the first
     (N + 1 - q_eff) coefficient blocks, where q_eff is the symbol-decay
-    horizon read off the power norms of the D-block; there the isometry
+    horizon: the first q in 1..N+1 at which the envelope
+    ||B|| ||C|| ||D*^(q-1)|| falls to ``_SYMBOL_TOL`` (by the search of
+    ``matrix_core.first_power_below``), else N + 1.  There the isometry
     identity holds up to the decayed tail, which is quadratic in the symbol
-    envelope (hence the loose ``_SYMBOL_TOL``).  If the symbols do
-    not decay inside the truncation window the restricted residual is NaN.
+    envelope (hence the loose ``_SYMBOL_TOL``).  If the symbols do not
+    decay inside the truncation window the restricted residual is NaN.
 
     Neither norm needs MPsi.  With Psi_q = C* D*^(q-1) B* for q >= 1, the
     part H of the infinite Toeplitz operator that maps block k <= N past
@@ -270,16 +272,10 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation) -> MPsiIso
         BD[j * r1:(j + 1) * r1] = power
         power = power @ coll.D
     raw = mc.operator_norm(BD) ** 2
-    # symbol envelope ||Psi_q|| <= ||B|| ||C|| ||D^(q-1)||, monotone in q
-    Dstar = mc.adjoint(coll.D)
+    # symbol envelope ||Psi_q|| <= ||B|| ||C|| ||D*^(q-1)||, monotone in q
     bc = mc.operator_norm(coll.B) * mc.operator_norm(coll.C)
-    q_eff = dil.N + 1
-    power = np.eye(Dstar.shape[0], dtype=complex)
-    for q in range(1, dil.N + 2):
-        if bc * mc.operator_norm(power) <= _SYMBOL_TOL:
-            q_eff = q
-            break
-        power = Dstar @ power
+    q_eff = 1 if bc <= _SYMBOL_TOL else min(
+        1 + mc.first_power_below(mc.adjoint(coll.D), _SYMBOL_TOL / bc, dil.N), dil.N + 1)
     keep = (dil.N + 1 - q_eff) * r1
     restricted = mc.operator_norm(BD[q_eff * r1:]) ** 2 if keep > 0 else float("nan")
     return MPsiIsometryReport(raw=raw, restricted=restricted, q_eff=q_eff)

@@ -27,6 +27,7 @@ __all__ = [
     "unitary_eigvals",
     "svd",
     "matrix_power_norm",
+    "first_power_below",
     "polar_unitary",
     "phase_fix_columns",
 ]
@@ -261,6 +262,30 @@ def matrix_power_norm(T, k: int) -> float:
     if k < 0:
         raise InputError("power must be nonnegative")
     return operator_norm(np.linalg.matrix_power(A, k))
+
+
+def first_power_below(T, tol: float, cap: int) -> int:
+    """Smallest k in 1..cap with ||T^k|| < tol, or cap + 1 if there is none.
+
+    For a contraction ||T^(k+1)|| <= ||T|| ||T^k|| <= ||T^k||, so once
+    ||T^k|| < tol holds it holds for every larger k.  Hence k can be
+    bracketed by doubling, with ``lo`` the last power at or above tol, and
+    then bisected: O(log k) norms in all."""
+    A = as_matrix(T)
+    lo, hi = 0, 1
+    while hi <= cap and matrix_power_norm(A, hi) >= tol:
+        lo, hi = hi, 2 * hi
+    if hi > cap:
+        if lo == cap or matrix_power_norm(A, cap) >= tol:
+            return cap + 1
+        hi = cap
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if matrix_power_norm(A, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def polar_unitary(X) -> np.ndarray:

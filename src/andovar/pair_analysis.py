@@ -33,7 +33,6 @@ __all__ = [
     "validate_pair",
     "defect",
     "truncation_degree",
-    "require_pure",
     "generate_pair",
     "GENERATOR_KINDS",
     "TRUNCATION_CAP",
@@ -89,6 +88,8 @@ class PairReport:
     spectral_radii: tuple[float, float]
     pure: tuple[bool, bool]
     defect_ranks: tuple[int, int]
+    # the DefectData behind defect_ranks, for analyze; not in to_dict
+    defects: tuple[DefectData, DefectData] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -111,19 +112,28 @@ class DefectData:
 
 @dataclass(frozen=True)
 class ContractionPair:
+    """A validated pair; ``report`` holds its purity verdict and defects."""
+
     T1: np.ndarray
     T2: np.ndarray
     dim: int
-    tol: Tolerances = field(default_factory=Tolerances)
+    tol: Tolerances
+    report: PairReport
 
     @classmethod
     def create(cls, T1, T2, tol: Tolerances | None = None) -> "ContractionPair":
         """Validate and wrap; raises one of the ValidationError subclasses."""
         tol = tol or DEFAULT_TOL
-        A = mc.as_matrix(T1, "T1")
-        B = mc.as_matrix(T2, "T2")
-        validate_pair(A, B, tol)
-        return cls(T1=A, T2=B, dim=A.shape[0], tol=tol)
+        A, B = mc.as_matrix(T1, "T1"), mc.as_matrix(T2, "T2")
+        return cls(T1=A, T2=B, dim=A.shape[0], tol=tol, report=validate_pair(A, B, tol))
+
+    def require_pure(self, *entries: int) -> None:
+        """Raise :class:`PurityError` unless validation found each Tj pure."""
+        for j in entries:
+            if not self.report.pure[j - 1]:
+                rho = self.report.spectral_radii[j - 1]
+                raise PurityError(f"T{j} is not pure (spectral radius {rho:.6g})",
+                                  spectral_radius=rho)
 
 
 def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
@@ -161,14 +171,15 @@ def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
             )
     radii = (mc.spectral_radius(A), mc.spectral_radius(B))
     pure = tuple(r < 1.0 - tol.pure for r in radii)
-    ranks = (defect(A, tol.rank, tol.defect_slack()).rank,
-             defect(B, tol.rank, tol.defect_slack()).rank)
+    defects = (defect(A, tol.rank, tol.defect_slack()),
+               defect(B, tol.rank, tol.defect_slack()))
     return PairReport(
         commute_residual=commute_res,
         norms=norms,
         spectral_radii=radii,
         pure=pure,  # type: ignore[arg-type]
-        defect_ranks=ranks,
+        defect_ranks=(defects[0].rank, defects[1].rank),
+        defects=defects,
     )
 
 
@@ -204,46 +215,22 @@ def defect(T, rank_tol: float = DEFAULT_TOL.rank,
     return DefectData(D=D, basis=basis, rank=rank)
 
 
-def require_pure(T, tol_pure: float, message: str) -> None:
-    """Raise :class:`PurityError` unless the spectral radius of T is below
-    1 - tol_pure."""
-    rho = mc.spectral_radius(T)
-    if rho >= 1.0 - tol_pure:
-        raise PurityError(message, spectral_radius=rho)
-
-
 def truncation_degree(T1, tol_trunc: float = DEFAULT_TOL.trunc,
                       tol_pure: float = DEFAULT_TOL.pure) -> int:
-    """Smallest N with ||T1*^N|| < tol_trunc, capped at ``TRUNCATION_CAP``.
-
-    Brackets N by repeated squaring, then binary-searches for the smallest
-    power below tolerance (||T^k|| is nonincreasing in k for contractions).
-    """
+    """Smallest N with ||T1*^N|| < tol_trunc (``mc.first_power_below``),
+    capped at ``TRUNCATION_CAP``.  T1 is a bare matrix, not a validated
+    pair, so its purity is checked here."""
     A = mc.as_matrix(T1, "T1")
-    require_pure(A, tol_pure,
-                 "T1 is not pure (spectral radius too close to 1); "
-                 "the dilation construction requires a pure first entry")
-    if mc.matrix_power_norm(A, 1) < tol_trunc:
-        return 1
-    hi = 1
-    while mc.matrix_power_norm(A, hi) >= tol_trunc:
-        hi *= 2
-        if hi >= TRUNCATION_CAP:
-            tail = mc.matrix_power_norm(A, TRUNCATION_CAP)
-            if tail >= tol_trunc:
-                warnings.warn(f"truncation degree capped at {TRUNCATION_CAP}; tail norm "
-                              f"still {tail:.3e} >= {tol_trunc:.3e}", stacklevel=2)
-                return TRUNCATION_CAP
-            hi = TRUNCATION_CAP
-            break
-    lo = hi // 2  # ||T^lo|| >= tol > ||T^hi||
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mc.matrix_power_norm(A, mid) < tol_trunc:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    rho = mc.spectral_radius(A)
+    if rho >= 1.0 - tol_pure:
+        raise PurityError(f"T1 is not pure (spectral radius {rho:.6g})",
+                          spectral_radius=rho)
+    N = mc.first_power_below(A, tol_trunc, TRUNCATION_CAP)
+    if N > TRUNCATION_CAP:
+        tail = mc.matrix_power_norm(A, TRUNCATION_CAP)
+        warnings.warn(f"truncation degree capped at {TRUNCATION_CAP}; tail norm "
+                      f"still {tail:.3e} >= {tol_trunc:.3e}", stacklevel=2)
+    return min(N, TRUNCATION_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 from . import matrix_core as mc
 from .colligation import Colligation, build_colligation
 from .errors import BoundaryPoleError, InputError, NumericError, ValidationError
-from .pair_analysis import DEFAULT_TOL, ContractionPair, DefectData, defect
+from .pair_analysis import DEFAULT_TOL, ContractionPair, DefectData
 
 __all__ = [
     "TransferFunction",
@@ -370,12 +370,7 @@ class Analysis:
 
 
 def analyze(pair: ContractionPair) -> Analysis:
-    """pair -> defects -> colligation, under the pair's tolerances.
-
-    The defects accept I - T T* down to the same negative eigenvalue that
-    validation accepted, so every validated pair gets its defect data.
-    """
-    tol = pair.tol
-    d1 = defect(pair.T1, tol.rank, tol.defect_slack())
-    d2 = defect(pair.T2, tol.rank, tol.defect_slack())
+    """pair -> defects -> colligation; the defects are the ones validation
+    built and kept in ``pair.report``."""
+    d1, d2 = pair.report.defects
     return Analysis(pair, d1, d2, build_colligation(pair, d1, d2))

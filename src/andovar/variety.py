@@ -10,14 +10,14 @@ determinant magnitude, which keeps tolerances dimension-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrix_core as mc
 from .colligation import Colligation
 from .errors import NumericError
-from .pair_analysis import ContractionPair, require_pure
+from .pair_analysis import ContractionPair
 from .transfer import (
     _DISC_TOL,
     CanonicalSplit,
@@ -152,9 +152,8 @@ def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
     directions; returns the worst residual.  Requires both contractions
     pure, the only case where the two constructions describe one variety.
     """
-    for j, T in enumerate((pair.T1, pair.T2), start=1):
-        require_pure(T, pair.tol.pure, f"symmetry check requires T{j} pure")
-    sides = (analyze(pair), analyze(replace(pair, T1=pair.T2, T2=pair.T1)))
+    pair.require_pure(1, 2)
+    sides = (analyze(pair), analyze(ContractionPair.create(pair.T2, pair.T1, pair.tol)))
     rng = np.random.default_rng(_SYMMETRY_SEED)
     worst = 0.0
     for forward, backward in (sides, sides[::-1]):

@@ -18,7 +18,7 @@ import numpy as np
 from . import matrix_core as mc
 from .colligation import Colligation
 from .errors import ChainViolationError, InputError, NumericError
-from .pair_analysis import ContractionPair, require_pure
+from .pair_analysis import ContractionPair
 from .transfer import CanonicalSplit, analyze, circle_grid
 from .variety import fibers
 
@@ -216,7 +216,7 @@ def vn_report(pair: ContractionPair, p: BivariatePolynomial,
     :class:`ChainViolationError` since the underlying inequality is exact.
     The report's ``slack`` is the variety slack.
     """
-    require_pure(pair.T1, pair.tol.pure, "the certified bound requires T1 pure")
+    pair.require_pure(1)
     analysis = analyze(pair)
     lhs = mc.operator_norm(eval_poly_pair(p, pair.T1, pair.T2))
     sv = sup_on_variety(p, analysis.coll, analysis.split, n_theta=n_theta)

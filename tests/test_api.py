@@ -40,6 +40,14 @@ def test_polynomial_has_no_to_dict():
     assert not hasattr(av.BivariatePolynomial, "to_dict")
 
 
+def test_require_pure_is_a_pair_method():
+    # purity is decided once, by validation, and read off the pair
+    assert not hasattr(av, "require_pure")
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(module), "require_pure"), module
+    assert callable(av.ContractionPair.require_pure)
+
+
 def _default(fn, name):
     return inspect.signature(fn).parameters[name].default
 

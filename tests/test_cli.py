@@ -157,6 +157,18 @@ class TestToleranceOverrides:
             assert code == 1, value
             assert "--tol-pure must be >= 0" in err
 
+    @pytest.mark.parametrize("flag", ["--tol-commute", "--tol-contract", "--tol-pure",
+                                      "--rank-tol", "--tol-trunc"])
+    def test_infinite_tolerance_exits_1(self, tmp_path, capsys, flag):
+        # an infinite tolerance would switch its check off: with
+        # --tol-contract inf a norm-5 T1 passed as a valid pair
+        f = write_pair(tmp_path / "p.json", [[5.0]], [[0.0]])
+        code, out, err = run(["check", f, flag, "inf"], capsys)
+        assert code == 1
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("Error:")]
+        assert errors == [f"Error: {flag} must be >= 0 and finite"]
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["gen", "colligation", "variety", "vn", "dilate"])

@@ -7,6 +7,7 @@ import pytest
 
 import andovar as av
 import andovar.matrix_core as mc
+from andovar.dilation import _SYMBOL_TOL
 from andovar.errors import InputError, PurityError
 
 from conftest import build_pipeline, make_suite
@@ -160,6 +161,46 @@ class TestMultiplierIsometry:
         rep = av.mpsi_isometry_residual(dil, coll)
         assert rep.q_eff <= dil.N
         assert rep.restricted <= 1e-6
+
+
+def q_eff_loop_oracle(coll, N, symbol_tol):
+    """The linear symbol-horizon loop that ``first_power_below`` replaced:
+    the first q in 1..N+1 with ||B|| ||C|| ||D*^(q-1)|| <= symbol_tol."""
+    Dstar = mc.adjoint(coll.D)
+    bc = mc.operator_norm(coll.B) * mc.operator_norm(coll.C)
+    power = np.eye(Dstar.shape[0], dtype=complex)
+    for q in range(1, N + 2):
+        if bc * mc.operator_norm(power) <= symbol_tol:
+            return q
+        power = Dstar @ power
+    return N + 1
+
+
+def truncation_scan_oracle(T1, tol_trunc):
+    """Linear scan for the first N with ||T1^N|| < tol_trunc."""
+    power = np.eye(T1.shape[0], dtype=complex)
+    for N in range(1, av.pair_analysis.TRUNCATION_CAP + 1):
+        power = power @ T1
+        if mc.operator_norm(power) < tol_trunc:
+            return N
+    return av.pair_analysis.TRUNCATION_CAP
+
+
+class TestPowerSearchOracles:
+    """N and q_eff come from ``first_power_below``; on the suite's pairs
+    they equal the linear scans they replaced."""
+
+    POPULATION = make_suite(12) + make_suite(4, dims=(2, 3), seed0=90, radius=0.7)
+
+    @pytest.mark.parametrize("idx", range(len(POPULATION)))
+    def test_truncation_degree_and_q_eff(self, idx):
+        kind, dim, T1, T2 = self.POPULATION[idx]
+        pair, d1, d2, coll, _ = build_pipeline(T1, T2)
+        dil = av.build_dilation(pair, coll, d1)
+        assert dil.N == truncation_scan_oracle(pair.T1, pair.tol.trunc)
+        for dil_n in (dil, av.build_dilation(pair, coll, d1, N=max(120, dil.N))):
+            rep = av.mpsi_isometry_residual(dil_n, coll)
+            assert rep.q_eff == q_eff_loop_oracle(coll, dil_n.N, _SYMBOL_TOL)
 
 
 class TestAlgebra:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
@@ -113,6 +113,47 @@ class TestHelpers:
         X = _random_matrix(5, 13)
         Q = mc.polar_unitary(X)
         np.testing.assert_allclose(Q.conj().T @ Q, np.eye(5), atol=1e-12)
+
+
+def _first_power_below_scan(norms, tol):
+    """Linear-scan oracle: first k (from 1) with norms[k-1] < tol, else
+    len(norms) + 1."""
+    return next((k for k, v in enumerate(norms, start=1) if v < tol), len(norms) + 1)
+
+
+class TestFirstPowerBelow:
+    @settings(max_examples=80, deadline=None)
+    @given(r=st.integers(1, 6), seed=st.integers(0, 10_000),
+           scale=st.floats(0.0, 1.0), log_tol=st.floats(-12.0, 0.0),
+           cap=st.integers(1, 300))
+    def test_matches_linear_scan(self, r, seed, scale, log_tol, cap):
+        M = _random_matrix(r, seed)
+        T = scale * M / mc.operator_norm(M)
+        tol = 10.0 ** log_tol
+        norms = [mc.matrix_power_norm(T, k) for k in range(1, cap + 1)]
+        # the search is exact up to rounding: keep tol off every computed norm
+        assume(all(abs(v - tol) > 1e-9 * tol for v in norms))
+        assert mc.first_power_below(T, tol, cap) == _first_power_below_scan(norms, tol)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 100, 300])
+    def test_zero_matrix_is_one(self, cap):
+        assert mc.first_power_below(np.zeros((3, 3)), 1e-9, cap) == 1
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7, 100, 300])
+    def test_identity_is_cap_plus_one(self, cap):
+        assert mc.first_power_below(np.eye(3), 1e-9, cap) == cap + 1
+
+    def test_cap_one(self):
+        T = np.diag([0.5, 0.25])
+        assert mc.first_power_below(T, 0.6, 1) == 1
+        assert mc.first_power_below(T, 0.4, 1) == 2
+
+    def test_non_power_of_two_cap(self):
+        # 0.5^k < 1e-3 first at k = 10, which the doubling overshoots to 16
+        T = np.array([[0.5]], complex)
+        for cap in (10, 11, 13):
+            assert mc.first_power_below(T, 1e-3, cap) == 10
+        assert mc.first_power_below(T, 1e-3, 9) == 10
 
 
 def _matched_distance(a, b):

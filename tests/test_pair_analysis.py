@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+import json
+import pkgutil
+
 import numpy as np
 import pytest
 
 import andovar as av
 import andovar.matrix_core as mc
+from andovar import serialize
+from andovar.cli import main
 from andovar.errors import (
     CommutationError,
     ContractionError,
@@ -140,6 +146,129 @@ class TestPurityFlag:
         # powers along 2^k decay below any tolerance before the cap
         norms = [mc.matrix_power_norm(T1, 2 ** k) for k in range(9)]
         assert norms[-1] < 1e-8
+
+
+def _count_defect_calls(monkeypatch):
+    """Replace ``defect`` in every andovar module that holds it by a
+    counting wrapper; returns the call list."""
+    calls = []
+    original = av.pair_analysis.defect
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for info in pkgutil.iter_modules(av.__path__, "andovar."):
+        module = importlib.import_module(info.name)
+        if getattr(module, "defect", None) is original:
+            monkeypatch.setattr(module, "defect", counted)
+    return calls
+
+
+class TestValidatedOnce:
+    """Validation decides purity and builds both defects; later stages
+    read ``pair.report`` instead of recomputing either."""
+
+    def test_create_builds_two_defects_and_analyze_none(self, monkeypatch):
+        T1, T2 = av.generate_pair("triangular-commuting", 4, seed=3)
+        calls = _count_defect_calls(monkeypatch)
+        pair = av.ContractionPair.create(T1, T2)
+        assert len(calls) == 2
+        a = av.analyze(pair)
+        assert len(calls) == 2
+        assert a.d1 is pair.report.defects[0] and a.d2 is pair.report.defects[1]
+
+    def test_report_defects_match_defect(self):
+        T1, T2 = av.generate_pair("jordan-poly", 3, seed=5)
+        pair = av.ContractionPair.create(T1, T2)
+        for d, T in zip(pair.report.defects, (pair.T1, pair.T2)):
+            ref = av.defect(T, pair.tol.rank, pair.tol.defect_slack())
+            np.testing.assert_array_equal(d.D, ref.D)
+            np.testing.assert_array_equal(d.basis, ref.basis)
+        assert tuple(d.rank for d in pair.report.defects) == pair.report.defect_ranks
+        assert "defects" not in pair.report.to_dict()
+
+    @staticmethod
+    def _entry_radius_calls(monkeypatch, *entries):
+        """Calls of mc.spectral_radius on one of ``entries`` (canonical_split's
+        own check on its c.n.u. block is not one of them)."""
+        calls = []
+        original = mc.spectral_radius
+
+        def counted(M):
+            if any(np.array_equal(np.asarray(M), T) for T in entries):
+                calls.append(M)
+            return original(M)
+
+        monkeypatch.setattr(mc, "spectral_radius", counted)
+        return calls
+
+    def test_vn_report_reads_the_verdict(self, monkeypatch):
+        T1, T2 = av.generate_pair("diag", 3, seed=1)
+        pair = av.ContractionPair.create(T1, T2)
+        calls = self._entry_radius_calls(monkeypatch, pair.T1, pair.T2)
+        p = av.BivariatePolynomial(np.array([[0, -1], [1, 0]], complex))
+        av.vn_report(pair, p, n_theta=64, torus_grid=64)
+        assert calls == []
+
+    def test_variety_command_reads_the_verdict(self, monkeypatch, tmp_path, capsys):
+        T1, T2 = av.generate_pair("triangular-commuting", 3, seed=2)
+        path = tmp_path / "p.json"
+        path.write_text(serialize.pair_to_json(T1, T2))
+        calls = self._entry_radius_calls(monkeypatch, T1, T2)
+        assert main(["variety", str(path), "--theta-samples", "16"]) == 0
+        capsys.readouterr()
+        # the two calls of validation inside the command, and no gate's
+        assert len(calls) == 2
+
+
+class TestPurityGates:
+    """Every purity gate raises with the radius validation recorded."""
+
+    J = np.array([[0, 0.5], [0, 0]], complex)
+
+    def _check(self, exc_info, pair, j):
+        rho = exc_info.value.details["spectral_radius"]
+        assert rho == pair.report.spectral_radii[j - 1]
+        assert f"T{j}" in str(exc_info.value)
+
+    def test_require_pure(self):
+        pair = av.ContractionPair.create(self.J, np.eye(2))
+        pair.require_pure(1)
+        with pytest.raises(PurityError) as exc_info:
+            pair.require_pure(1, 2)
+        self._check(exc_info, pair, 2)
+
+    def test_vn_report(self):
+        pair = av.ContractionPair.create(np.diag([1.0, 0.3]), np.zeros((2, 2)))
+        p = av.BivariatePolynomial(np.array([[0, -1], [1, 0]], complex))
+        with pytest.raises(PurityError) as exc_info:
+            av.vn_report(pair, p)
+        self._check(exc_info, pair, 1)
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_symmetry_residual(self, j):
+        T1, T2 = (np.eye(2), self.J) if j == 1 else (self.J, np.eye(2))
+        pair = av.ContractionPair.create(T1, T2)
+        with pytest.raises(PurityError) as exc_info:
+            av.symmetry_residual(pair, 4)
+        self._check(exc_info, pair, j)
+
+    def test_defect_series_residuals(self):
+        pair = av.ContractionPair.create(np.diag([1.0, 0.3]), np.diag([0.2, 0.1]))
+        a = av.analyze(pair)
+        with pytest.raises(PurityError) as exc_info:
+            av.defect_series_residuals(pair, a.coll, a.d1, np.ones(2), 3)
+        self._check(exc_info, pair, 1)
+
+    def test_variety_command(self, tmp_path, capsys):
+        T1, T2 = np.diag([1.0, 0.3]), np.diag([0.2, 0.1])
+        path = tmp_path / "p.json"
+        path.write_text(serialize.pair_to_json(T1.astype(complex), T2.astype(complex)))
+        assert main(["variety", str(path), "--theta-samples", "8"]) == 2
+        details = json.loads(capsys.readouterr().out)["details"]
+        pair = av.ContractionPair.create(T1, T2)
+        assert details["spectral_radius"] == pair.report.spectral_radii[0]
 
 
 class TestGenerators:
