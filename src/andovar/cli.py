@@ -66,10 +66,7 @@ def _tolerances(ctx_params: dict) -> Tolerances:
         if not math.isfinite(value) or value < 0:
             raise click.UsageError(f"{flag} must be >= 0 and finite")
         overrides[name] = value
-    tol = Tolerances(**overrides)
-    if ctx_params.get("strict"):
-        tol = tol.halved()
-    return tol
+    return Tolerances(**overrides)
 
 
 def _tol_options(fn):
@@ -90,8 +87,13 @@ def _read_text(path: str, what: str) -> str:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _read_pair(path: str, tol: Tolerances) -> ContractionPair:
+def _read_pair(path: str, params: dict) -> ContractionPair:
+    """Validate the pair file under the tolerance flags; ``--strict`` halves
+    the tolerances at the pair's dimension."""
+    tol = _tolerances(params)
     T1, T2 = serialize.pair_from_json(_read_text(path, "pair"))
+    if params.get("strict"):
+        tol = tol.halved(T1.shape[0])
     return ContractionPair.create(T1, T2, tol)
 
 
@@ -117,7 +119,7 @@ def cli():
 @_tol_options
 def check(pair_file, **params):
     """Validate a pair file; print the analysis report as JSON."""
-    report = _read_pair(pair_file, _tolerances(params)).report
+    report = _read_pair(pair_file, params).report
     click.echo(serialize.dumps(report.to_dict()), nl=False)
 
 
@@ -127,7 +129,7 @@ def check(pair_file, **params):
 @_tol_options
 def colligation(pair_file, output, **params):
     """Build the canonical unitary colligation; emit blocks and bases."""
-    coll = analyze(_read_pair(pair_file, _tolerances(params))).coll
+    coll = analyze(_read_pair(pair_file, params)).coll
     payload = coll.to_dict()
     payload["unitarity_residual"] = coll.unitarity_residual()
     _write_output(serialize.dumps(payload), output)
@@ -143,7 +145,7 @@ def colligation(pair_file, output, **params):
 @_tol_options
 def variety(pair_file, theta_samples, output, fmt, **params):
     """Sample the variety boundary; write CSV or a static scatter SVG."""
-    pair = _read_pair(pair_file, _tolerances(params))
+    pair = _read_pair(pair_file, params)
     pair.require_pure(1)
     analysis = analyze(pair)
     sample = boundary_samples(analysis.coll, analysis.split, theta_samples)
@@ -163,7 +165,7 @@ def variety(pair_file, theta_samples, output, fmt, **params):
 @_tol_options
 def vn(pair_file, poly_file, theta_samples, torus_grid, output, **params):
     """Certify the norm chain for a polynomial; emit the report as JSON."""
-    pair = _read_pair(pair_file, _tolerances(params))
+    pair = _read_pair(pair_file, params)
     p = BivariatePolynomial(serialize.poly_from_json(_read_text(poly_file, "polynomial")))
     report = vn_report(pair, p, n_theta=theta_samples, torus_grid=torus_grid)
     _write_output(serialize.dumps(report.to_dict()), output)
@@ -178,9 +180,8 @@ def vn(pair_file, poly_file, theta_samples, torus_grid, output, **params):
 @_tol_options
 def dilate(pair_file, truncation, dump, **params):
     """Build the truncated dilation; print residuals and bounds as JSON."""
-    pair = _read_pair(pair_file, _tolerances(params))
-    analysis = analyze(pair)
-    coll = analysis.coll
+    pair = _read_pair(pair_file, params)
+    coll = analyze(pair).coll
     if truncation == "auto":
         N = None
     else:
@@ -188,7 +189,7 @@ def dilate(pair_file, truncation, dump, **params):
             N = int(truncation)
         except ValueError:
             raise click.UsageError("--truncation must be 'auto' or an integer")
-    dil = build_dilation(pair, coll, analysis.d1, N=N)
+    dil = build_dilation(pair, coll, pair.report.defects[0], N=N)
     inter = intertwining_residuals(dil, pair)
     comp = compression_residuals(dil, pair)
     iso = mpsi_isometry_residual(dil, coll)

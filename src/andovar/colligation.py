@@ -62,10 +62,7 @@ class Colligation:
 
     @property
     def matrix(self) -> np.ndarray:
-        return np.block([
-            [self.A, self.B],
-            [self.C, self.D],
-        ]) if self.r1 + self.r2 else np.zeros((0, 0), complex)
+        return np.block([[self.A, self.B], [self.C, self.D]])
 
     def unitarity_residual(self) -> float:
         U = self.matrix
@@ -146,19 +143,12 @@ def build_colligation(pair: ContractionPair, d1: DefectData, d2: DefectData) -> 
     E1, E2 = d1.basis, d2.basis
     r1, r2 = d1.rank, d2.rank
     nu = r1 + r2
-    if nu == 0:
-        return Colligation(
-            A=np.zeros((0, 0), complex), B=np.zeros((0, 0), complex),
-            C=np.zeros((0, 0), complex), D=np.zeros((0, 0), complex),
-            basis1=E1, basis2=E2,
-        )
     M_dom = np.vstack([mc.adjoint(E1) @ d1.D, mc.adjoint(E2) @ d2.D @ mc.adjoint(T1)])
     M_ran = np.vstack([mc.adjoint(E1) @ d1.D @ mc.adjoint(T2), mc.adjoint(E2) @ d2.D])
 
     Ud, sd, Vdh = mc.svd(M_dom)
     Ur, sr, _ = mc.svd(M_ran)
-    smax = max(1.0, float(sd[0]) if sd.size else 0.0)
-    thr = _FORCED_RANK_RTOL * smax
+    thr = _FORCED_RANK_RTOL * float(np.max(sd, initial=1.0))
     rho = int(np.sum(sd > thr))
     rho_ran = int(np.sum(sr > thr))
     if rho != rho_ran:
@@ -167,11 +157,7 @@ def build_colligation(pair: ContractionPair, d1: DefectData, d2: DefectData) -> 
             forced_rank=rho, range_rank=rho_ran,
         )
 
-    if rho:
-        V0 = (M_ran @ Vdh[:rho, :].conj().T / sd[:rho]) @ mc.adjoint(Ud[:, :rho])
-    else:
-        V0 = np.zeros((nu, nu), complex)
-    U = V0
+    U = (M_ran @ Vdh[:rho, :].conj().T / sd[:rho]) @ mc.adjoint(Ud[:, :rho])
     deficiency = nu - rho
     if deficiency:
         P_dom = np.eye(nu) - Ud[:, :rho] @ mc.adjoint(Ud[:, :rho])
@@ -206,30 +192,32 @@ class SeriesReport:
 
 
 def defect_series_residuals(pair: ContractionPair, coll: Colligation,
-                            d1: DefectData, h: np.ndarray, m_max: int) -> SeriesReport:
+                            h: np.ndarray, m_max: int) -> SeriesReport:
     """Residuals of D1 T2* h against the strongly convergent series
     A D1 h + sum_n B D^n C D1 T1*^(n+1) h, truncated at m = 0..m_max.
 
-    All quantities are taken in defect coordinates.  Requires T1 pure,
+    All quantities are taken in defect coordinates, with the first defect
+    of ``pair.report``, the one ``coll`` is built from.  Requires T1 pure,
     since the series only converges when T1*^m h dies out; purity is
     judged by the pair's own tolerance.
     """
     pair.require_pure(1)
-    T1 = pair.T1
+    d1 = pair.report.defects[0]
+    E1s_D1 = mc.adjoint(d1.basis) @ d1.D
+    T1s = mc.adjoint(pair.T1)
     h = np.asarray(h, dtype=complex).reshape(-1)
-    E1 = d1.basis
-    target = mc.adjoint(E1) @ d1.D @ mc.adjoint(pair.T2) @ h
-    acc = coll.A @ (mc.adjoint(E1) @ d1.D @ h)
-    T1s_h = h.copy()
+    target = E1s_D1 @ mc.adjoint(pair.T2) @ h
+    acc = coll.A @ (E1s_D1 @ h)
+    T1s_h = T1s @ h
     Dpow_cache = np.eye(coll.r2, dtype=complex)
     residuals = np.empty(m_max + 1)
     tail_bounds = np.empty(m_max + 1)
     for m in range(m_max + 1):
-        T1s_h = mc.adjoint(T1) @ T1s_h  # now T1*^(m+1) h
-        term = coll.B @ Dpow_cache @ coll.C @ (mc.adjoint(E1) @ d1.D @ T1s_h)
+        # T1s_h is T1*^(m+1) h
+        term = coll.B @ Dpow_cache @ coll.C @ (E1s_D1 @ T1s_h)
         acc = acc + term
         residuals[m] = float(np.linalg.norm(target - acc))
-        tail_bounds[m] = float(np.linalg.norm(
-            np.linalg.matrix_power(mc.adjoint(T1), m + 2) @ h))
+        T1s_h = T1s @ T1s_h
+        tail_bounds[m] = float(np.linalg.norm(T1s_h))
         Dpow_cache = coll.D @ Dpow_cache
     return SeriesReport(residuals=residuals, tail_bounds=tail_bounds)

@@ -227,8 +227,6 @@ def minimality_defect(dil: TruncatedDilation) -> int:
     (N+1) (r1 - rank G), with numpy's default rank threshold.
     """
     G = dil.Pi[:dil.r1]
-    if G.size == 0:
-        return dil.rows
     return dil.rows - (dil.N + 1) * int(np.linalg.matrix_rank(G))
 
 

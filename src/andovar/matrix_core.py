@@ -60,8 +60,6 @@ def adjoint(M: np.ndarray) -> np.ndarray:
 def operator_norm(M) -> float:
     """Largest singular value; 0 for empty or zero matrices."""
     A = as_matrix(M)
-    if A.size == 0:
-        return 0.0
     try:
         s = np.linalg.svd(A, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -73,13 +71,11 @@ def spectral_radius(M) -> float:
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise InputError("spectral radius needs a square matrix")
-    if A.size == 0:
-        return 0.0
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-    return float(np.max(np.abs(w)))
+    return float(np.max(np.abs(w), initial=0.0))
 
 
 def phase_fix_columns(U: np.ndarray, Vh: np.ndarray | None = None):
@@ -116,9 +112,7 @@ def herm_eig(M):
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise InputError("herm_eig needs a square matrix")
-    if A.size == 0:
-        return np.zeros(0), np.zeros((0, 0), complex)
-    scale = max(1.0, float(np.abs(A).max()) * A.shape[0])
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)) * A.shape[0])
     if operator_norm(A - adjoint(A)) > _HERMITIAN_TOL * scale:
         raise InputError("herm_eig input is not Hermitian within tolerance")
     try:
@@ -137,8 +131,6 @@ def eig(M):
     A = as_matrix(M)
     if A.shape[0] != A.shape[1]:
         raise InputError("eig needs a square matrix")
-    if A.size == 0:
-        return np.zeros(0, complex), np.zeros((0, 0), complex)
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -159,8 +151,6 @@ def eigvals(M) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 3:
         A = as_matrix(M)
-    if A.size == 0:
-        return np.zeros(A.shape[:-1], complex)
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -206,7 +196,7 @@ def unitary_eigvals(U) -> np.ndarray:
     single-matrix call bit for bit.
     """
     U = np.asarray(U, dtype=complex)
-    if U.shape[-1] < 4 or not U.size:
+    if U.shape[-1] < 4:
         return eigvals(U)
     lam, ok = _cayley_eigvals(U, np.full(len(U), _CAYLEY_POLE))
     redo = np.flatnonzero(~ok & np.isfinite(lam).all(axis=-1))
@@ -291,8 +281,6 @@ def first_power_below(T, tol: float, cap: int) -> int:
 def polar_unitary(X) -> np.ndarray:
     """Unitary polar factor (nearest unitary for a near-unitary input)."""
     A = as_matrix(X)
-    if A.size == 0:
-        return A
     try:
         U, _, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:

@@ -71,11 +71,12 @@ class Tolerances:
         """
         return max(self.contract, 2.0 * self.contract + self.contract ** 2)
 
-    def halved(self) -> "Tolerances":
-        """Strict mode: every tolerance halved."""
+    def halved(self, dim: int) -> "Tolerances":
+        """Strict mode at dimension ``dim``: every tolerance halved, the
+        commutation default as resolved by :meth:`commute_for`."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return Tolerances(**{name: None if v is None else 0.5 * v
-                             for name, v in values.items()})
+        values["commute"] = self.commute_for(dim)
+        return Tolerances(**{name: 0.5 * v for name, v in values.items()})
 
 
 DEFAULT_TOL = Tolerances()
@@ -209,10 +210,9 @@ def defect(T, rank_tol: float = DEFAULT_TOL.rank,
     w = np.clip(w, 0.0, None)
     D = (V * np.sqrt(w)) @ mc.adjoint(V)
     D = 0.5 * (D + mc.adjoint(D))
-    thr = rank_tol * max(1.0, float(w[-1]) if n else 1.0)
+    thr = rank_tol * float(np.max(w, initial=1.0))
     rank = int(np.sum(w > thr))
-    basis = V[:, n - rank:] if rank else np.zeros((n, 0), complex)
-    return DefectData(D=D, basis=basis, rank=rank)
+    return DefectData(D=D, basis=V[:, n - rank:], rank=rank)
 
 
 def truncation_degree(T1, tol_trunc: float = DEFAULT_TOL.trunc,

@@ -23,7 +23,7 @@ import numpy as np
 from . import matrix_core as mc
 from .colligation import Colligation, build_colligation
 from .errors import BoundaryPoleError, InputError, NumericError, ValidationError
-from .pair_analysis import DEFAULT_TOL, ContractionPair, DefectData
+from .pair_analysis import DEFAULT_TOL, ContractionPair
 
 __all__ = [
     "TransferFunction",
@@ -104,6 +104,7 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray):
     every point.
     """
     k = tf.D.shape[0]
+    # kept: the general A + (zB) S would add +0.0 and turn -0.0 entries of A into +0.0
     if k == 0:
         return np.repeat(tf.A[None], z.size, axis=0), np.ones(z.size)
     R = np.eye(k) - z[:, None, None] * tf.D
@@ -180,15 +181,11 @@ def schur_identity_residual(tf: TransferFunction, z: complex) -> float:
     if abs(z) >= 1.0:
         raise InputError("the isometry identity is an interior-point statement")
     val = eval_tau(tf, z)
-    m = tf.dim
-    lhs = np.eye(m) - mc.adjoint(val) @ val
+    lhs = np.eye(tf.dim) - mc.adjoint(val) @ val
     k = tf.D.shape[0]
-    if k == 0:
-        rhs = np.zeros((m, m), complex)
-    else:
-        inner = np.linalg.solve(np.eye(k) - z * tf.D, tf.C)
-        outer = np.linalg.solve(np.eye(k) - np.conj(z) * mc.adjoint(tf.D), inner)
-        rhs = (1.0 - abs(z) ** 2) * mc.adjoint(tf.C) @ outer
+    inner = np.linalg.solve(np.eye(k) - z * tf.D, tf.C)
+    outer = np.linalg.solve(np.eye(k) - np.conj(z) * mc.adjoint(tf.D), inner)
+    rhs = (1.0 - abs(z) ** 2) * mc.adjoint(tf.C) @ outer
     return mc.operator_norm(lhs - rhs)
 
 
@@ -230,6 +227,7 @@ def canonical_split(M, tol_pure: float = DEFAULT_TOL.pure) -> CanonicalSplit:
     w, V = mc.eig(A)
     selected = np.abs(w) >= 1.0 - tol_pure
     k = int(np.sum(selected))
+    # kept: qr and min fail on an empty selection, and herm_eig would not give H1 = I exactly
     if k == 0:
         H0 = np.zeros((r, 0), complex)
         H1 = np.eye(r, dtype=complex)
@@ -296,10 +294,8 @@ class BoundaryScan:
         return len(self.skipped) / total if total else 0.0
 
     def max_deviation(self) -> float:
-        if self.sigma_min.size == 0:
-            return 0.0
-        return float(max(np.max(np.abs(self.sigma_min - 1.0)),
-                         np.max(np.abs(self.sigma_max - 1.0))))
+        return float(max(np.max(np.abs(self.sigma_min - 1.0), initial=0.0),
+                         np.max(np.abs(self.sigma_max - 1.0), initial=0.0)))
 
 
 def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,13 +328,6 @@ def taylor_symbols(tf: TransferFunction, count: int) -> list[np.ndarray]:
     if count < 1:
         raise InputError("count must be >= 1")
     out = [tf.A.copy()]
-    if count == 1:
-        return out
-    m = tf.dim
-    k = tf.D.shape[0]
-    if k == 0:
-        out.extend(np.zeros((m, m), complex) for _ in range(count - 1))
-        return out
     acc = tf.C.copy()
     for _ in range(count - 1):
         out.append(tf.B @ acc)
@@ -348,7 +337,8 @@ def taylor_symbols(tf: TransferFunction, count: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class Analysis:
-    """A validated pair with its defect data and colligation.
+    """A validated pair with its colligation; the defect data stay in
+    ``pair.report.defects``.
 
     The canonical split of A* and the multiplier Psi are computed on first
     access, so commands that need only the colligation never fail inside
@@ -356,8 +346,6 @@ class Analysis:
     """
 
     pair: ContractionPair
-    d1: DefectData
-    d2: DefectData
     coll: Colligation
 
     @functools.cached_property
@@ -372,5 +360,4 @@ class Analysis:
 def analyze(pair: ContractionPair) -> Analysis:
     """pair -> defects -> colligation; the defects are the ones validation
     built and kept in ``pair.report``."""
-    d1, d2 = pair.report.defects
-    return Analysis(pair, d1, d2, build_colligation(pair, d1, d2))
+    return Analysis(pair, build_colligation(pair, *pair.report.defects))

@@ -79,6 +79,7 @@ def fibers(coll: Colligation, split: CanonicalSplit, z1):
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
     z1 = disc_points(z1)
     psi_cnu = cnu_part(adjoint_transfer(coll), split)
+    # kept: with no V1 values, evaluating would still mark the poles of D and skip thetas
     if psi_cnu.dim:
         on_circle = np.all(np.abs(np.abs(z1) - 1.0) <= _DISC_TOL)
         v1, poles = eval_tau_many(psi_cnu, z1,

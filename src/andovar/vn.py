@@ -82,8 +82,6 @@ class BivariatePolynomial:
 
 
 def _trim(c: np.ndarray) -> np.ndarray:
-    if c.size == 0:
-        return np.zeros((1, 1), complex)
     rows = np.where(np.any(c != 0, axis=1))[0]
     cols = np.where(np.any(c != 0, axis=0))[0]
     if rows.size == 0:

@@ -29,7 +29,7 @@ def make_suite(count: int, dims=(2, 3, 4, 5, 6, 7, 8), seed0: int = 0,
 def build_pipeline(T1, T2):
     """pair -> defects -> colligation -> split, with default tolerances."""
     a = av.analyze(av.ContractionPair.create(T1, T2))
-    return a.pair, a.d1, a.d2, a.coll, a.split
+    return (a.pair, *a.pair.report.defects, a.coll, a.split)
 
 
 def random_unit_vectors(n: int, count: int, seed: int) -> np.ndarray:

@@ -85,7 +85,7 @@ def test_criterion_03_series_envelope():
         h /= np.linalg.norm(h)
         N = av.truncation_degree(pair.T1, 1e-10)
         m_max = max(50, N - 2)
-        rep = av.defect_series_residuals(pair, coll, d1, h, m_max=m_max)
+        rep = av.defect_series_residuals(pair, coll, h, m_max=m_max)
         # vector envelope ||T1*^(m+2) h|| dominates every partial-sum residual
         # and is itself dominated by the operator-norm form of the bound
         assert np.all(rep.residuals <= rep.tail_bounds + 1e-10), (kind, dim, idx)

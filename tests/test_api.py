@@ -66,10 +66,11 @@ def test_tolerance_defaults_come_from_tolerances():
 
 def test_halved_halves_every_field():
     tol = av.Tolerances(commute=3e-9, contract=4e-10, pure=5e-8, rank=6e-10, trunc=7e-9)
-    half = tol.halved()
+    half = tol.halved(4)
     for f in dataclasses.fields(tol):
         assert getattr(half, f.name) == 0.5 * getattr(tol, f.name), f.name
-    assert av.Tolerances().halved().commute is None
+    # the commutation default is resolved at the dimension, then halved
+    assert av.Tolerances().halved(4).commute == 0.5 * av.Tolerances().commute_for(4)
 
 
 def test_defect_accepts_what_validation_accepts():
@@ -84,7 +85,7 @@ def test_build_dilation_truncates_at_the_pair_tolerance():
                                      av.Tolerances(trunc=1e-3))
     a = av.analyze(pair)
     # 0.5**10 < 1e-3 <= 0.5**9
-    assert av.build_dilation(pair, a.coll, a.d1).N == 10
+    assert av.build_dilation(pair, a.coll, pair.report.defects[0]).N == 10
 
 
 def test_build_dilation_judges_purity_by_the_pair_tolerance():
@@ -96,4 +97,4 @@ def test_build_dilation_judges_purity_by_the_pair_tolerance():
     with pytest.raises(av.PurityError):
         av.vn_report(pair, p)
     with pytest.raises(av.PurityError):
-        av.build_dilation(pair, a.coll, a.d1)
+        av.build_dilation(pair, a.coll, pair.report.defects[0])

@@ -150,6 +150,23 @@ class TestToleranceOverrides:
         if expected == 2:
             assert json.loads(out)["details"]["norm"] > 1.0
 
+    @pytest.mark.parametrize("flags, expected", [
+        ([], 0),
+        (["--strict"], 2),
+        (["--strict", "--tol-commute", "2e-10"], 2),
+    ])
+    def test_strict_halves_the_default_commutation_tolerance(self, tmp_path, capsys,
+                                                             flags, expected):
+        # commute residual 1.5e-10: inside the default 1e-10 * 2, outside half of it
+        f = write_pair(tmp_path / "p.json", np.diag([0.5, 0.3]),
+                       np.array([[0.4, 7.5e-10], [0.0, 0.2]]))
+        code, out, _ = run(["check", f, *flags], capsys)
+        assert code == expected
+        if expected == 2:
+            details = json.loads(out)["details"]
+            assert details["tol"] == 1e-10
+            assert details["commute_residual"] == pytest.approx(1.5e-10, rel=1e-6)
+
     def test_negative_tolerance_exits_1(self, zero_pair_file, capsys):
         # NaN fails every comparison, so it must be refused, not let through
         for value in ("-1", "nan"):

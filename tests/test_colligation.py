@@ -43,6 +43,14 @@ class TestClosedForms:
         np.testing.assert_allclose(
             coll.matrix, np.array([[0, 1], [1, 0]], complex), atol=1e-12)
 
+    def test_unitary_pair_gives_the_empty_colligation(self):
+        # r1 = r2 = 0: every block, and U itself, is 0 x 0
+        pair, d1, d2, coll, _ = build_pipeline(np.diag([1.0, 1j]), np.diag([-1.0, 1.0]))
+        for block in (coll.A, coll.B, coll.C, coll.D, coll.matrix):
+            assert (block.shape, block.dtype) == ((0, 0), np.complex128)
+        assert coll.basis1.shape == coll.basis2.shape == (2, 0)
+        assert coll.unitarity_residual() == 0.0
+
     def test_identity_second_entry_gives_identity_block(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
         pair, d1, d2, coll, _ = build_pipeline(J, np.eye(2, dtype=complex))
@@ -127,14 +135,14 @@ class TestSeriesIdentity:
     def test_zero_pair_truncates_immediately(self, zero_pair_m2):
         pair, d1, d2, coll, _ = zero_pair_m2
         h = np.array([1.0, -2.0], complex)
-        rep = av.defect_series_residuals(pair, coll, d1, h, m_max=3)
+        rep = av.defect_series_residuals(pair, coll, h, m_max=3)
         assert rep.residuals[0] <= 1e-14
 
     def test_nilpotent_vanishes_past_order(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
         pair, d1, d2, coll, _ = build_pipeline(J, J)
         h = np.array([0.3, 0.7], complex)
-        rep = av.defect_series_residuals(pair, coll, d1, h, m_max=6)
+        rep = av.defect_series_residuals(pair, coll, h, m_max=6)
         # T1^2 = 0, so every partial sum from m = 0 on is exact
         assert np.max(rep.residuals) <= 1e-12
 
@@ -144,7 +152,7 @@ class TestSeriesIdentity:
         pair, d1, d2, coll, _ = build_pipeline(T1, T2)
         rng = np.random.default_rng(seed)
         h = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rep = av.defect_series_residuals(pair, coll, d1, h, m_max=50)
+        rep = av.defect_series_residuals(pair, coll, h, m_max=50)
         assert np.all(rep.residuals <= rep.tail_bounds + 1e-10)
         # envelope itself decays, so late residuals are negligible
         assert rep.residuals[-1] <= 1e-9
@@ -154,8 +162,8 @@ class TestSeriesIdentity:
         # default 1e-8
         pair = av.ContractionPair.create([[1 - 5e-9]], [[0.5]], av.Tolerances(pure=1e-9))
         a = av.analyze(pair)
-        assert (a.d1.rank, a.d2.rank) == (1, 1)
-        rep = av.defect_series_residuals(pair, a.coll, a.d1, np.array([1.0], complex), m_max=3)
+        assert pair.report.defect_ranks == (1, 1)
+        rep = av.defect_series_residuals(pair, a.coll, np.array([1.0], complex), m_max=3)
         assert np.all(rep.residuals <= rep.tail_bounds + 1e-10)
 
 

@@ -129,6 +129,13 @@ class TestMinimality:
         assert int(np.sum(s > 1e-10)) == dil.rows
         assert av.minimality_defect(dil) == 0
 
+    def test_empty_first_defect(self):
+        # r1 = 0: the rank of the (0, n) block G is 0, and so is the defect
+        dil = av.TruncatedDilation(N=3, r1=0, n=2, Pi=np.zeros((0, 2), complex),
+                                   symbols=np.zeros((4, 0, 0), complex), tail_bound=0.0,
+                                   tail_bound_prev=0.0, d1_norm=0.0)
+        assert av.minimality_defect(dil) == 0
+
     @pytest.mark.parametrize("idx", range(4))
     def test_generated_pairs_minimal(self, idx):
         kind, dim, T1, T2 = make_suite(4, dims=(2, 3), seed0=80, radius=0.75)[idx]

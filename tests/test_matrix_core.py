@@ -41,6 +41,11 @@ class TestOperatorNorm:
         with pytest.raises(InputError):
             mc.operator_norm(np.array([[np.nan, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty(self, shape):
+        norm = mc.operator_norm(np.zeros(shape))
+        assert type(norm) is float and norm == 0.0
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 10**6))
     def test_unitary_invariance(self, n, seed):
@@ -64,6 +69,11 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InputError):
             mc.herm_eig(np.array([[0, 1], [0, 0]], complex))
+
+    def test_empty(self):
+        w, V = mc.herm_eig(np.zeros((0, 0)))
+        assert (w.shape, w.dtype) == ((0,), np.float64)
+        assert (V.shape, V.dtype) == ((0, 0), np.complex128)
 
     def test_phase_convention(self):
         w, V = mc.herm_eig(_random_matrix(5, 3, hermitian=True))
@@ -89,6 +99,11 @@ class TestEig:
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(V1, V2)
 
+    def test_empty(self):
+        w, V = mc.eig(np.zeros((0, 0)))
+        assert (w.shape, w.dtype) == ((0,), np.complex128)
+        assert (V.shape, V.dtype) == ((0, 0), np.complex128)
+
 
 class TestSvd:
     def test_zero(self):
@@ -113,6 +128,12 @@ class TestHelpers:
         X = _random_matrix(5, 13)
         Q = mc.polar_unitary(X)
         np.testing.assert_allclose(Q.conj().T @ Q, np.eye(5), atol=1e-12)
+
+    def test_empty(self):
+        rho = mc.spectral_radius(np.zeros((0, 0)))
+        assert type(rho) is float and rho == 0.0
+        Q = mc.polar_unitary(np.zeros((0, 0)))
+        assert (Q.shape, Q.dtype) == ((0, 0), np.complex128)
 
 
 def _first_power_below_scan(norms, tol):
@@ -257,3 +278,9 @@ class TestUnitaryEigvals:
 
     def test_empty_stack(self):
         assert mc.unitary_eigvals(np.zeros((0, 6, 6), complex)).shape == (0, 6)
+
+    @pytest.mark.parametrize("shape", [(5, 0, 0), (0, 6, 6)])
+    @pytest.mark.parametrize("solver", [mc.eigvals, mc.unitary_eigvals])
+    def test_empty_rows(self, solver, shape):
+        w = solver(np.zeros(shape, complex))
+        assert (w.shape, w.dtype) == (shape[:2], np.complex128)

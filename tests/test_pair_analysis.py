@@ -77,6 +77,12 @@ class TestDefect:
         with pytest.raises(ContractionError):
             av.defect(np.array([[2.0]], complex))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_unitary_has_no_defect(self, n):
+        d = av.defect(np.diag(np.exp(1j * np.arange(n))))
+        assert d.rank == 0
+        assert (d.basis.shape, d.basis.dtype) == ((n, 0), np.complex128)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_basis_spans_range(self, seed):
         kind = GENERATOR_KINDS[seed % 3]
@@ -176,7 +182,8 @@ class TestValidatedOnce:
         assert len(calls) == 2
         a = av.analyze(pair)
         assert len(calls) == 2
-        assert a.d1 is pair.report.defects[0] and a.d2 is pair.report.defects[1]
+        d1, d2 = pair.report.defects
+        assert a.coll.basis1 is d1.basis and a.coll.basis2 is d2.basis
 
     def test_report_defects_match_defect(self):
         T1, T2 = av.generate_pair("jordan-poly", 3, seed=5)
@@ -258,7 +265,7 @@ class TestPurityGates:
         pair = av.ContractionPair.create(np.diag([1.0, 0.3]), np.diag([0.2, 0.1]))
         a = av.analyze(pair)
         with pytest.raises(PurityError) as exc_info:
-            av.defect_series_residuals(pair, a.coll, a.d1, np.ones(2), 3)
+            av.defect_series_residuals(pair, a.coll, np.ones(2), 3)
         self._check(exc_info, pair, 1)
 
     def test_variety_command(self, tmp_path, capsys):

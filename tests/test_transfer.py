@@ -16,6 +16,10 @@ from conftest import build_pipeline, interior_points, make_suite
 from test_boundary_evaluator import pole_at_one, ref_eval_tau
 
 
+# T2 unitary, so r2 = 0 and Psi has no D-block; T1 pure, with r1 = 2
+UNITARY_T2_PAIR = (np.diag([0.5, 0.3]), np.diag([1.0, 1j]))
+
+
 def random_colligation(n1, n2, seed):
     """A haar-ish random unitary cut into colligation blocks."""
     rng = np.random.default_rng(seed)
@@ -96,6 +100,14 @@ class TestSchurIdentity:
         tf = random_colligation(3, 3, seed=21)
         for z in 0.999 * np.exp(1j * np.linspace(0.1, 6.0, 8)):
             assert av.schur_identity_residual(tf, z) <= 1e-8
+
+    def test_unitary_second_entry(self):
+        # r2 = 0: Psi is the constant unitary A*, and the right side is 0
+        psi = av.analyze(av.ContractionPair.create(UNITARY_T2_PAIR[0], UNITARY_T2_PAIR[1])).psi
+        assert psi.D.shape == (0, 0)
+        lhs = mc.operator_norm(np.eye(2) - mc.adjoint(psi.A) @ psi.A)
+        for z in (0.0, 0.5j, -0.9 + 0.1j):
+            assert av.schur_identity_residual(psi, z) == lhs <= 1e-14
 
 
 class TestCanonicalSplit:
@@ -206,6 +218,17 @@ class TestBoundaryScan:
         assert len(scan.skipped) >= 1
         assert 0.0 in scan.skipped
 
+    def test_every_theta_skipped(self):
+        # the one grid point z = 1 is the pole of D = [[1]]
+        tf = TransferFunction(
+            A=np.array([[0.0]], complex), B=np.zeros((1, 1), complex),
+            C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex))
+        scan = av.boundary_scan(tf, n_theta=1)
+        assert scan.skipped == [0.0] and scan.skip_rate == 1.0
+        assert scan.sigma_min.shape == scan.sigma_max.shape == (0,)
+        deviation = scan.max_deviation()
+        assert type(deviation) is float and deviation == 0.0
+
 
 def assert_matches_the_pole_rule(tf, z):
     """eval_tau_many against the per-point cond rule: same mask, same
@@ -291,6 +314,17 @@ class TestTaylorSymbols:
             tail = (mc.operator_norm(tf.B) * mc.operator_norm(tf.C)
                     * abs(z) ** 40 / max(1e-12, 1 - abs(z) * dnorm))
             assert mc.operator_norm(total - av.eval_tau(tf, z)) <= tail + 1e-12
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_unitary_second_entry(self, count):
+        # r2 = 0: Psi is the constant A*, so every later symbol is +0.0
+        psi = av.analyze(av.ContractionPair.create(UNITARY_T2_PAIR[0], UNITARY_T2_PAIR[1])).psi
+        symbols = av.taylor_symbols(psi, count)
+        assert len(symbols) == count
+        np.testing.assert_array_equal(symbols[0], psi.A)
+        for sym in symbols[1:]:
+            assert (sym.shape, sym.dtype) == ((2, 2), np.complex128)
+            assert sym.tobytes() == bytes(sym.nbytes)
 
     def test_constant_multiplier_symbols(self):
         psi = TransferFunction(

@@ -65,6 +65,12 @@ class TestPolynomial:
         with pytest.raises(InputError):
             BivariatePolynomial(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_grid_is_the_zero_polynomial(self, shape):
+        p = BivariatePolynomial(np.zeros(shape))
+        assert (p.coeffs.shape, p.coeffs.dtype) == ((1, 1), np.complex128)
+        assert p.coeffs[0, 0] == 0 and p.deg1 == p.deg2 == 0
+
     def test_lipschitz_bound_dominates_gradient(self):
         p = random_poly(3, seed=4)
         L = p.lipschitz_bound()
