@@ -2,23 +2,25 @@
 """Print one sha256 digest per (pair, output) of the library's outputs.
 
 A change that claims "outputs are bit-identical" is checked by running this
-script in two checkouts and comparing the two listings:
+one script against the ``src`` of each tree, so that both listings cover the
+same population, and comparing them:
 
+    PYTHONPATH=<other tree>/src python scripts/output_digest.py > digests-before.txt
     PYTHONPATH=src python scripts/output_digest.py > digests.txt
     diff digests-before.txt digests.txt
 
-The population is 80 pairs: the three generator kinds at dims 1, 2, 3, 4,
+The population is 81 pairs: the three generator kinds at dims 1, 2, 3, 4,
 6, 8, 12 and 16 with seeds 0-2; the zero pairs at m = 1-3; a unitary T2
-(r2 = 0), a unitary T1 (r1 = 0) and both unitary (r1 = r2 = 0); a diagonal
-pair whose A* has one unimodular eigenvalue (k = 1); and the near-pole pair
-of ROADMAP open item 1.  For each pair the outputs are the validation
-report, the colligation, the canonical split, the variety CSV and SVG and
-the boundary scan at 97 thetas, the Taylor symbols, the Schur and split
-residuals, the vn report, the joint eigenvalue membership, the series
-residuals and tail bounds, the symmetry residual, and the dilation with
-all its residuals.  Arrays are hashed with their dtype, shape and bytes and
-floats by ``float.hex``, so -0.0 and +0.0 differ.  An output that raises is
-hashed as its exception type and message.
+(r2 = 0), a unitary T1 (r1 = 0) and both unitary (r1 = r2 = 0); two
+diagonal pairs whose A* has one and two unimodular eigenvalues (k = 1, 2);
+and the near-pole pair of ROADMAP open item 1.  For each pair the outputs
+are the validation report, the colligation, the canonical split, the
+variety CSV and SVG and the boundary scan at 97 thetas, the Taylor
+symbols, the Schur and split residuals, the vn report, the joint
+eigenvalue membership, the series residuals and tail bounds, the symmetry
+residual, and the dilation with all its residuals.  Arrays are hashed with
+their dtype, shape and bytes and floats by ``float.hex``, so -0.0 and +0.0
+differ.  An output that raises is hashed as its exception type and message.
 
 Each line reads ``<pair> <output> <first 16 hex digits>``.
 """
@@ -54,6 +56,8 @@ def population() -> list[tuple[str, np.ndarray, np.ndarray]]:
         ("t1-unitary", np.diag([1j, -1.0]), np.diag([0.5, 0.2])),
         ("both-unitary", np.diag([1.0, 1j]), np.diag([-1.0, 1.0])),
         ("diag-k1", np.diag([0.5, 0.3]), np.diag([np.exp(0.7j), 0.4])),
+        ("diag-k2", np.diag([0.5, 0.3, 0.2, 0.6]),
+         np.diag([np.exp(0.7j), np.exp(2.1j), 0.4, 0.1j])),
         ("near-pole", np.array([[0.001907 - 0.579179j]]), np.array([[0.274619 + 0.961444j]])),
     ]
     return pairs

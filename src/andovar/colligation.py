@@ -87,31 +87,23 @@ class Colligation:
         }
 
 
-def _block_swap(r1: int, r2: int) -> np.ndarray:
-    """Permutation sending x (+) y in C^r1 (+) C^r2 to y (+) x."""
-    n = r1 + r2
-    Z = np.zeros((n, n))
-    Z[:r2, r1:] = np.eye(r2)
-    Z[r2:, :r1] = np.eye(r1)
-    return Z
-
-
-def _pair_complements(P_dom: np.ndarray, P_ran: np.ndarray, Z: np.ndarray,
+def _pair_complements(P_dom: np.ndarray, P_ran: np.ndarray, r2: int,
                       deficiency: int) -> np.ndarray:
     """Isometry from ran(P_dom) onto ran(P_ran) via canonical polar pairing.
 
     Tries the block-swap direction first, then the identity direction, and
     finally an explicit basis pairing for whatever (measure-zero) remainder
-    survives both.
+    survives both.  The swap Z sends x (+) y in C^r1 (+) C^r2 to y (+) x,
+    so P Z is P with its columns in the order r2..n-1, 0..r2-1.
     """
     n = P_dom.shape[0]
     W = np.zeros((n, n), complex)
-    rem_d, rem_r = P_dom.astype(complex), P_ran.astype(complex)
+    rem_d, rem_r = P_dom, P_ran
     matched = 0
-    for Zk in (Z, np.eye(n)):
+    for order in (np.r_[r2:n, 0:r2], np.arange(n)):
         if matched == deficiency:
             return W
-        K = rem_r @ Zk @ rem_d
+        K = rem_r[:, order] @ rem_d
         u, s, vh = mc.svd(K)
         t = min(int(np.sum(s > _COMPLETION_COS_TOL)), deficiency - matched)
         if t == 0:
@@ -162,7 +154,7 @@ def build_colligation(pair: ContractionPair, d1: DefectData, d2: DefectData) -> 
     if deficiency:
         P_dom = np.eye(nu) - Ud[:, :rho] @ mc.adjoint(Ud[:, :rho])
         P_ran = np.eye(nu) - Ur[:, :rho] @ mc.adjoint(Ur[:, :rho])
-        U = U + _pair_complements(P_dom, P_ran, _block_swap(r1, r2), deficiency)
+        U = U + _pair_complements(P_dom, P_ran, r2, deficiency)
     U = mc.polar_unitary(U)
 
     action = mc.operator_norm(U @ M_dom - M_ran)

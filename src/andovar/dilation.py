@@ -54,8 +54,8 @@ __all__ = [
     "mpsi_isometry_residual",
 ]
 
-# largest row count for which Mz and MPsi are assembled densely
-DENSE_ROWS_MAX = 100_000
+# most rows of a dense Mz or MPsi: a dump peaks near 2 GB there (README)
+DENSE_ROWS_MAX = 1_500
 # symbol envelope below which mpsi_isometry_residual counts the symbols as
 # decayed
 _SYMBOL_TOL = 1e-5

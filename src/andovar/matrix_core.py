@@ -18,6 +18,7 @@ from .errors import InputError, NumericError
 
 __all__ = [
     "as_matrix",
+    "as_square",
     "adjoint",
     "operator_norm",
     "spectral_radius",
@@ -53,6 +54,14 @@ def as_matrix(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def as_square(M, name: str = "matrix") -> np.ndarray:
+    """:func:`as_matrix`, and reject a matrix that is not square."""
+    A = as_matrix(M, name)
+    if A.shape[0] != A.shape[1]:
+        raise InputError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
 def adjoint(M: np.ndarray) -> np.ndarray:
     return M.conj().T
 
@@ -68,9 +77,7 @@ def operator_norm(M) -> float:
 
 
 def spectral_radius(M) -> float:
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise InputError("spectral radius needs a square matrix")
+    A = as_square(M, "spectral radius input")
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -109,9 +116,7 @@ def herm_eig(M):
     phase-fixed eigenvector columns.  Raises if M is not Hermitian within
     ``_HERMITIAN_TOL * max(1, ||M||)``.
     """
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise InputError("herm_eig needs a square matrix")
+    A = as_square(M, "herm_eig input")
     scale = max(1.0, float(np.abs(A).max(initial=0.0)) * A.shape[0])
     if operator_norm(A - adjoint(A)) > _HERMITIAN_TOL * scale:
         raise InputError("herm_eig input is not Hermitian within tolerance")
@@ -128,9 +133,7 @@ def eig(M):
     Eigenvalues are sorted ascending by (real, imag); eigenvectors are
     unit-norm and phase-fixed.  Returns ``(w, V)``.
     """
-    A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise InputError("eig needs a square matrix")
+    A = as_square(M, "eig input")
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
@@ -150,7 +153,9 @@ def eigvals(M) -> np.ndarray:
     """
     A = np.asarray(M, dtype=complex)
     if A.ndim != 3:
-        A = as_matrix(M)
+        A = as_square(M, "eigvals input")
+    elif A.shape[1] != A.shape[2]:
+        raise InputError(f"eigvals input must be square, got shape {A.shape}")
     try:
         w = np.linalg.eigvals(A)
     except np.linalg.LinAlgError as exc:
@@ -163,8 +168,9 @@ def unitary_eigvals(U) -> np.ndarray:
     Hermitian solve.
 
     Rows are ordered by (real, imag), as in :func:`eigvals`.  Below r = 4
-    this is :func:`eigvals`, which is faster there.  Otherwise, with the
-    pole ``omega = e^{i}`` and W = omega U, the Cayley transform
+    this is :func:`eigvals`, which is faster there; so is a single matrix,
+    and a non-square stack, which it refuses.  Otherwise, with the pole
+    ``omega = e^{i}`` and W = omega U, the Cayley transform
     ``H = i(I - W)(I + W)^{-1} = i(2K - I)``, K = inv(I + W), is Hermitian
     with eigenvalues ``mu_j = tan(phi_j / 2)`` for the eigenvalues
     ``e^{i phi_j}`` of W, and ``lambda_j = (1 + i mu_j) / ((1 - i mu_j) omega)``.
@@ -196,7 +202,7 @@ def unitary_eigvals(U) -> np.ndarray:
     single-matrix call bit for bit.
     """
     U = np.asarray(U, dtype=complex)
-    if U.shape[-1] < 4:
+    if U.ndim != 3 or U.shape[-1] < 4 or U.shape[-1] != U.shape[-2]:
         return eigvals(U)
     lam, ok = _cayley_eigvals(U, np.full(len(U), _CAYLEY_POLE))
     redo = np.flatnonzero(~ok & np.isfinite(lam).all(axis=-1))
@@ -246,9 +252,7 @@ def svd(M):
 
 def matrix_power_norm(T, k: int) -> float:
     """||T^k|| computed through binary powering (exact matrix products)."""
-    A = as_matrix(T)
-    if A.shape[0] != A.shape[1]:
-        raise InputError("matrix power needs a square matrix")
+    A = as_square(T, "matrix power input")
     if k < 0:
         raise InputError("power must be nonnegative")
     return operator_norm(np.linalg.matrix_power(A, k))

@@ -196,9 +196,7 @@ def defect(T, rank_tol: float = DEFAULT_TOL.rank,
     eigenvectors of the Hermitian eigendecomposition (deterministic order
     and phases).
     """
-    A = mc.as_matrix(T, "T")
-    if A.shape[0] != A.shape[1]:
-        raise InputError("defect needs a square matrix")
+    A = mc.as_square(T, "T")
     n = A.shape[0]
     G = np.eye(n) - A @ mc.adjoint(A)
     w, V = mc.herm_eig(G)

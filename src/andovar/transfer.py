@@ -217,32 +217,22 @@ def canonical_split(M, tol_pure: float = DEFAULT_TOL.pure) -> CanonicalSplit:
     is at least 1 - tol_pure; for a contraction these eigenspaces reduce the
     operator, which is verified and enforced via the off-diagonal residual.
     """
-    A = mc.as_matrix(M, "contraction")
-    if A.shape[0] != A.shape[1]:
-        raise InputError("canonical_split needs a square matrix")
-    r = A.shape[0]
+    A = mc.as_square(M, "contraction")
     if mc.operator_norm(A) > 1.0 + 1e-8:
         raise ValidationError("canonical_split input is not a contraction",
                               norm=mc.operator_norm(A))
     w, V = mc.eig(A)
     selected = np.abs(w) >= 1.0 - tol_pure
     k = int(np.sum(selected))
-    # kept: qr and min fail on an empty selection, and herm_eig would not give H1 = I exactly
-    if k == 0:
-        H0 = np.zeros((r, 0), complex)
-        H1 = np.eye(r, dtype=complex)
-    else:
-        vecs = V[:, selected]
-        q, rr = np.linalg.qr(vecs)
-        if np.min(np.abs(np.diag(rr))) < 1e-8:
-            raise NumericError(
-                "unimodular eigenvectors are numerically dependent; "
-                "cannot orthonormalize the unitary subspace"
-            )
-        H0 = mc.phase_fix_columns(q)
-        # complement basis: eigenvectors of I - H0 H0* at eigenvalue 1
-        wp, vp = mc.herm_eig(np.eye(r) - H0 @ mc.adjoint(H0))
-        H1 = vp[:, k:]
+    # the last r - k columns of the complete Q span the complement; at k = 0, Q = I
+    q, rr = np.linalg.qr(V[:, selected], mode="complete")
+    if np.min(np.abs(np.diag(rr)), initial=np.inf) < 1e-8:
+        raise NumericError(
+            "unimodular eigenvectors are numerically dependent; "
+            "cannot orthonormalize the unitary subspace"
+        )
+    H0 = mc.phase_fix_columns(q[:, :k])
+    H1 = q[:, k:]
     W = mc.adjoint(H0) @ A @ H0
     E_cnu = mc.adjoint(H1) @ A @ H1
     off = max(

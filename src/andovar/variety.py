@@ -207,7 +207,7 @@ def _svg_color(theta: float) -> str:
 
 
 def sample_to_svg(sample: VarietySample) -> str:
-    """Static two-panel scatter: z1 samples and their fiber values."""
+    """Static two-panel scatter: each z1 sample once, then its fiber values."""
     size, margin = 400, 20
     half = size // 2
     scale = half - margin
@@ -232,10 +232,9 @@ def sample_to_svg(sample: VarietySample) -> str:
     for theta, z1, points in _fiber_rows(sample):
         color = _svg_color(theta)
         x1, y1 = pt(z1, 0)
-        z1_circle = f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>'
+        parts.append(f'<circle cx="{x1:.2f}" cy="{y1:.2f}" r="2" fill="{color}"/>')
         for z2, kind in points:
             x2, y2 = pt(z2, size + 40)
-            parts.append(z1_circle)
             stroke = ' stroke="black" stroke-width="0.6"' if kind == "V0" else ""
             parts.append(
                 f'<circle cx="{x2:.2f}" cy="{y2:.2f}" r="2" fill="{color}"{stroke}/>'

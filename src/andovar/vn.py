@@ -4,8 +4,12 @@ The left side uses exact polynomial functional calculus on the matrices,
 independent of the dilation machinery it validates.  The two sups are grid
 maxima paired with an explicit slack: a Lipschitz slack computed from the
 polynomial coefficients for the variety, a grid-max factor from the degrees
-for the torus.  Every reported inequality is thus an honest epsilon-statement
-about sampled quantities rather than a silently undersampled one.
+for the torus.  Only the torus slack is a proven bound.  The variety slack
+bounds how fast p moves along a fixed fiber, not how fast the fiber moves
+with theta, so a fiber that races between grid points escapes it: on the
+near-pole pair of ROADMAP open item 1 the variety sup plus slack is 0.047
+where the true sup is about 2.  Until that item lands, ``sup_variety`` is
+a sampled value, not a certificate.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,24 @@ class TestDilateDumpLimit:
         code, out, _ = run(["dilate", zero_pair_file, "--truncation", "4"], capsys)
         assert code == 0
         assert json.loads(out)["rows"] == 10
+
+    def test_generated_pair_past_the_row_limit_fails_fast(self, tmp_path, capsys):
+        # N = 585 at dim 4: 2344 rows, about 5 GB of dump at 475 bytes of
+        # peak RSS per dense entry, refused before any dense operator
+        f = write_pair(tmp_path / "slow.json",
+                       *av.generate_pair("diag", 4, seed=1, radius=0.99))
+        dump = tmp_path / "ops.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run(["dilate", f, "--dump", str(dump)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert "2344 rows" in err
+        assert not dump.exists()
+        assert peak < 64 * 2**20
 
 
 class TestGen:

@@ -10,6 +10,7 @@ import pytest
 
 import andovar as av
 import andovar.matrix_core as mc
+from andovar import colligation
 
 from conftest import build_pipeline, make_suite, random_unit_vectors
 
@@ -129,6 +130,53 @@ class TestLaterCompletionStages:
         assert np.max(action_residuals(pair, d1, d2, coll, H)) <= 1e-10
         again = av.analyze(av.ContractionPair.create(T1.copy(), T2.copy())).coll
         np.testing.assert_array_equal(coll.matrix, again.matrix)
+
+
+def _dense_pair_complements(P_dom, P_ran, r2, deficiency):
+    """The complement pairing with the swap as a dense permutation matrix Z
+    and the identity direction as a dense identity: the oracle for the
+    column-order product of ``colligation._pair_complements``."""
+    n = P_dom.shape[0]
+    r1 = n - r2
+    Z = np.zeros((n, n))
+    Z[:r2, r1:] = np.eye(r2)
+    Z[r2:, :r1] = np.eye(r1)
+    W = np.zeros((n, n), complex)
+    rem_d, rem_r = P_dom.astype(complex), P_ran.astype(complex)
+    matched = 0
+    for Zk in (Z, np.eye(n)):
+        if matched == deficiency:
+            return W
+        u, s, vh = mc.svd(rem_r @ Zk @ rem_d)
+        t = min(int(np.sum(s > colligation._COMPLETION_COS_TOL)), deficiency - matched)
+        if t == 0:
+            continue
+        W += u[:, :t] @ vh[:t, :]
+        rem_d = rem_d - vh[:t, :].conj().T @ vh[:t, :]
+        rem_r = rem_r - u[:, :t] @ u[:, :t].conj().T
+        matched += t
+    if matched < deficiency:
+        _, vd = mc.herm_eig(rem_d)
+        _, vr = mc.herm_eig(rem_r)
+        left = deficiency - matched
+        W += vr[:, -left:] @ mc.adjoint(vd[:, -left:])
+    return W
+
+
+COMPLETED_PAIRS = {f"{case}-{order}": (T1, T2)[::step]
+                   for case, (T1, T2, _) in sorted(TestLaterCompletionStages.CASES.items())
+                   for order, step in (("pair", 1), ("swapped", -1))}
+COMPLETED_PAIRS.update({f"suite-{i}": s[2:] for i, s in enumerate(make_suite(40))})
+
+
+@pytest.mark.parametrize("T1, T2", COMPLETED_PAIRS.values(), ids=COMPLETED_PAIRS.keys())
+def test_column_order_swap_matches_the_dense_permutation(T1, T2, monkeypatch):
+    pair = av.ContractionPair.create(T1, T2)
+    d1, d2 = pair.report.defects
+    coll = av.build_colligation(pair, d1, d2)
+    monkeypatch.setattr(colligation, "_pair_complements", _dense_pair_complements)
+    dense = av.build_colligation(pair, d1, d2)
+    assert coll.matrix.tobytes() == dense.matrix.tobytes()
 
 
 class TestSeriesIdentity:

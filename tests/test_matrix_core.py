@@ -136,6 +136,25 @@ class TestHelpers:
         assert (Q.shape, Q.dtype) == ((0, 0), np.complex128)
 
 
+@pytest.mark.parametrize("fn, shape", [
+    (mc.spectral_radius, (2, 3)),
+    (mc.herm_eig, (2, 3)),
+    (mc.eig, (2, 3)),
+    (lambda M: mc.matrix_power_norm(M, 2), (2, 3)),
+    (av.defect, (2, 3)),
+    (av.canonical_split, (2, 3)),
+    (mc.eigvals, (2, 3)),
+    (mc.eigvals, (5, 4, 6)),
+    (mc.unitary_eigvals, (5, 4, 6)),
+    (mc.unitary_eigvals, (5, 6, 4)),
+], ids=["spectral_radius", "herm_eig", "eig", "matrix_power_norm", "defect",
+        "canonical_split", "eigvals", "eigvals-stack", "unitary_eigvals-wide",
+        "unitary_eigvals-tall"])
+def test_non_square_input_is_an_input_error(fn, shape):
+    with pytest.raises(InputError, match="square"):
+        fn(np.zeros(shape))
+
+
 def _first_power_below_scan(norms, tol):
     """Linear-scan oracle: first k (from 1) with norms[k-1] < tol, else
     len(norms) + 1."""
@@ -231,6 +250,10 @@ class TestUnitaryEigvals:
                             lambda U, omega: poles.append(omega) or cayley(U, omega))
         _assert_matches_eigvals(U[None])
         assert len(poles) == 2 and poles[1][0] != mc._CAYLEY_POLE  # re-solved once
+
+    def test_single_matrix_is_solved_by_eigvals(self):
+        U = _random_matrix(6, 21, unitary=True)
+        np.testing.assert_array_equal(mc.unitary_eigvals(U), mc.eigvals(U))
 
     @pytest.mark.parametrize("z", [np.exp(0.3j), -np.conj(mc._CAYLEY_POLE), -1.0, 1.0])
     def test_repeated_eigenvalue(self, z):

@@ -110,6 +110,13 @@ class TestSchurIdentity:
             assert av.schur_identity_residual(psi, z) == lhs <= 1e-14
 
 
+def _conjugated_diag(entries, seed):
+    rng = np.random.default_rng(seed)
+    n = len(entries)
+    Q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    return Q @ np.diag(entries) @ Q.conj().T
+
+
 class TestCanonicalSplit:
     def test_mixed_diagonal(self):
         lam = np.exp(1j * np.pi / 4)
@@ -117,6 +124,32 @@ class TestCanonicalSplit:
         assert split.k == 1
         np.testing.assert_allclose(split.lambdas, [lam], atol=1e-12)
         np.testing.assert_allclose(split.E_cnu, [[0.5]], atol=1e-12)
+
+    def test_two_unimodular_diagonal(self):
+        lam = np.exp([0.7j, 2.1j])
+        split = av.canonical_split(np.diag([lam[0], 0.4, lam[1], 0.1j]))
+        assert split.k == 2
+        np.testing.assert_allclose(split.lambdas, mc.eigvals(np.diag(lam)), atol=1e-12)
+        np.testing.assert_allclose(mc.eigvals(split.E_cnu), [0.1j, 0.4], atol=1e-12)
+
+    @pytest.mark.parametrize("A, k", [
+        (np.diag([0.5, 0.3j, -0.2]), 0),
+        (np.diag([np.exp(0.3j), 0.4, 0.2 + 0.1j]), 1),
+        (np.diag([0.5, np.exp(0.7j), 0.3, np.exp(2.1j)]), 2),
+        (_conjugated_diag([np.exp(0.7j), 0.4, np.exp(-1.2j), 0.1j, -0.6], 9), 2),
+        (_conjugated_diag([np.exp(0.7j), np.exp(-1.2j), -1.0], 10), 3),
+    ], ids=["k0", "k1", "k2-diagonal", "k2-conjugated", "k3-unitary"])
+    def test_bases_are_orthogonal_complements(self, A, k):
+        split = av.canonical_split(A)
+        r = A.shape[0]
+        assert (split.H0.shape, split.H1.shape) == ((r, k), (r, r - k))
+        Q = np.hstack([split.H0, split.H1])
+        assert mc.operator_norm(Q.conj().T @ Q - np.eye(r)) <= 1e-14
+        assert mc.operator_norm(Q @ Q.conj().T - np.eye(r)) <= 1e-14
+        assert mc.operator_norm(split.H0.conj().T @ split.H1) <= 1e-14
+        if k == 0:
+            np.testing.assert_array_equal(split.H1, np.eye(r, dtype=complex))
+            assert split.H1.dtype == np.complex128
 
     def test_strict_contraction_is_cnu(self):
         A = 0.8 * random_colligation(3, 3, seed=4).A  # any strict contraction

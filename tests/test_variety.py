@@ -269,3 +269,16 @@ class TestOutputs:
                 lines.append(f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
                              f"{z2.real:.12e},{z2.imag:.12e},{kind},{0.0:.12e}")
         assert sample_to_csv(sample) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("T1, T2", [av.generate_pair("triangular-commuting", 5, 70),
+                                        av.generate_pair("diag", 16, 0),
+                                        ALL_V0, NEAR_POLE],
+                             ids=["generated", "diag-16", "all-V0", "near-pole"])
+    def test_svg_draws_each_z1_once(self, T1, T2):
+        from andovar.variety import sample_to_svg
+
+        _, _, _, coll, split = build_pipeline(T1, T2)
+        sample = av.boundary_samples(coll, split, 97)
+        svg = sample_to_svg(sample)
+        # two frame circles, one per kept z1, one per fiber value
+        assert svg.count("<circle") == 2 + len(sample.theta_grid) + len(sample)

@@ -21,6 +21,7 @@ from andovar.vn import (
 )
 
 from conftest import build_pipeline, make_suite
+from test_boundary_evaluator import NEAR_POLE
 
 P_Z1_MINUS_Z2 = BivariatePolynomial(np.array([[0, -1], [1, 0]], complex))
 P_Z1_PLUS_Z2 = BivariatePolynomial(np.array([[0, 1], [1, 0]], complex))
@@ -205,6 +206,18 @@ class TestReport:
         rep = vn_report(pair, p)
         assert rep.margins[0] >= 0 or rep.margins[0] >= -rep.slack
         assert rep.margins[1] >= -rep.slack
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the Lipschitz slack bounds how fast p moves along a fixed fiber, not "
+        "how fast the fiber moves; ROADMAP open item 1"))
+    def test_variety_slack_misses_the_racing_fiber(self):
+        # ||D|| = 0.99994: the fiber races past theta = -2.1968 between grid
+        # points, and the true variety sup is about 2
+        pair = av.ContractionPair.create(*NEAR_POLE)
+        p = BivariatePolynomial(np.array([[1.0, np.exp(1.8326j)]]))
+        rep = vn_report(pair, p)
+        assert rep.sup_bidisc == pytest.approx(2.0, abs=1e-5)
+        assert rep.sup_variety + rep.slack >= 1.99
 
     def test_requires_pure_t1(self):
         pair = av.ContractionPair.create(np.eye(2), np.zeros((2, 2)))
