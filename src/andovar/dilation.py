@@ -6,21 +6,27 @@ down-shift and M_Psi the block lower-triangular Toeplitz operator whose
 symbols are the Taylor coefficients of the inner multiplier Psi.
 
 Neither M_z nor M_Psi is stored.  The dilation keeps Pi, (N+1) r1 x n, and
-the symbol stack Psi_0..Psi_N, and every residual is computed from that
-structure in memory linear in the truncation degree:
+the colligation U = [[A, B], [C, D]] that realizes Psi = tau_(U*), and every
+residual is computed from that structure in time and memory linear in the
+truncation degree:
 
-* M_z* Pi is Pi moved up one block, M_Psi* Pi a block correlation of the
-  symbols with the blocks of Pi, and Pi* M_z Pi = sum_k Pi_(k+1)* Pi_k.
+* Block k of Pi is G T1*^k with G = E1* D1, and the stack is built by
+  doubling (``matrix_core.power_stack``).
+* Psi(z) = A* + z C* (I - z D*)^{-1} B*, so Psi_0* = A and
+  Psi_q* = B D^(q-1) C for q >= 1.  Hence M_z* Pi is Pi moved up one block,
+  and M_Psi* Pi follows by one backward recursion over the blocks of Pi
+  (``TruncatedDilation.mpsi_adjoint_pi``); Pi* M_z Pi = sum_k Pi_(k+1)* Pi_k.
 * [Pi, M_z Pi, ..., M_z^N Pi] is block lower-triangular Toeplitz with
   diagonal block E1* D1, so its rank is read off that r1 x n block.
 * The infinite M_Psi is an isometry because Psi is inner, so
   M_Psi* M_Psi - I = -H* H, where H carries the symbols the window sends
   past degree N.  With the colligation blocks B, D this gives
   ||M_Psi* M_Psi - I|| = lambda_max(sum_(j=0..N) D*^j B* B D^j), an
-  r2 x r2 sum.
+  r2 x r2 sum over the stacked B D^j.
 
-The dense matrices remain readable as ``TruncatedDilation.Mz`` and
-``.MPsi``, assembled on each access, for debugging dumps and test oracles.
+The symbols Psi_0..Psi_N and the dense matrices remain readable as
+``TruncatedDilation.symbols``, ``.Mz`` and ``.MPsi``, computed on access,
+for debugging dumps and test oracles.
 
 All infinite-dimensional identities acquire explicit truncation tails here;
 every residual is paired with a computed bound derived from the measured
@@ -80,22 +86,30 @@ class TruncatedDilation:
     """Degree-N truncation of the Hardy-space dilation of a pure pair."""
 
     N: int
-    r1: int
     n: int
     Pi: np.ndarray
-    symbols: np.ndarray          # Psi_q for q = 0..N, shape (N+1, r1, r1)
+    coll: Colligation            # realizes Psi = tau_(U*)
     tail_bound: float            # ||T1*^(N+1)||
     tail_bound_prev: float       # ||T1*^N||
     d1_norm: float               # ||D_T1||
 
     @property
+    def r1(self) -> int:
+        return self.coll.r1
+
+    @property
     def rows(self) -> int:
         return (self.N + 1) * self.r1
+
+    @functools.cached_property
+    def symbols(self) -> np.ndarray:
+        """Psi_q for q = 0..N, shape (N+1, r1, r1)."""
+        return np.array(taylor_symbols(adjoint_transfer(self.coll), self.N + 1))
 
     @property
     def Mz(self) -> np.ndarray:
         """Dense block down-shift, assembled on each access."""
-        shift = np.zeros_like(self.symbols)
+        shift = np.zeros((self.N + 1, self.r1, self.r1), complex)
         if self.N:
             shift[1] = np.eye(self.r1)
         return _block_toeplitz(shift)
@@ -107,20 +121,31 @@ class TruncatedDilation:
 
     @functools.cached_property
     def mpsi_adjoint_pi(self) -> np.ndarray:
-        """MPsi* Pi, whose block k is the correlation sum_q Psi_q* Pi_(k+q)."""
-        r1 = self.r1
-        # row of adjoint symbols [Psi_0*, Psi_1*, ..., Psi_N*]
-        adj_row = self.symbols.conj().transpose(2, 0, 1).reshape(r1, -1)
-        out = np.empty_like(self.Pi)
-        for k in range(self.N + 1):
-            out[k * r1:(k + 1) * r1] = adj_row[:, :self.rows - k * r1] @ self.Pi[k * r1:]
-        return out
+        """MPsi* Pi by a backward recursion over the colligation blocks.
+
+        Block k of MPsi* Pi is the correlation sum_(q=0..N-k) Psi_q* Pi_(k+q).
+        With Psi_0* = A and Psi_q* = B D^(q-1) C (module docstring) it is
+        A Pi_k + B Z_k, where Z_k = sum_(q=1..N-k) D^(q-1) C Pi_(k+q) obeys
+
+            Z_N = 0,   Z_k = C Pi_(k+1) + D Z_(k+1).
+
+        That is one r2 x n product with D per block, O(N (r1 + r2) r2 n) in
+        all, in place of the O(N^2 r1^2 n) correlation over the symbols.
+        """
+        c, D = self.coll, self.coll.D
+        P = self.Pi.reshape(self.N + 1, self.r1, self.n)
+        CP = c.C @ P[1:]
+        Z = np.zeros((self.N + 1, c.r2, self.n), complex)
+        for k in range(self.N - 1, -1, -1):
+            Z[k] = CP[k] + D @ Z[k + 1]
+        return (c.A @ P + c.B @ Z).reshape(self.rows, self.n)
 
 
 def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
                    N: int | None = None, tol_trunc: float | None = None,
                    tol_pure: float | None = None) -> TruncatedDilation:
-    """Materialize Pi and the symbol stack of M_Psi at truncation degree N.
+    """Materialize Pi at truncation degree N; the dilation keeps ``coll``
+    for the multiplier.
 
     ``N=None`` selects the smallest degree whose tail norm falls below
     ``tol_trunc``.  An explicit N must dominate that degree and stay under
@@ -139,22 +164,14 @@ def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
             f"truncation degree {N} is below the required minimum {n_min} "
             f"for tol_trunc={tol_trunc:g}"
         )
-    r1 = d1.rank
     n = pair.dim
-
-    E1s_D1 = mc.adjoint(d1.basis) @ d1.D
-    Pi = np.zeros(((N + 1) * r1, n), complex)
-    block = E1s_D1.copy()
     T1s = mc.adjoint(T1)
-    for k in range(N + 1):
-        Pi[k * r1:(k + 1) * r1, :] = block
-        block = block @ T1s
-
-    symbols = np.array(taylor_symbols(adjoint_transfer(coll), N + 1))
+    Pi = mc.power_stack(mc.adjoint(d1.basis) @ d1.D, T1s, N + 1).reshape((N + 1) * d1.rank, n)
+    tail = np.linalg.matrix_power(T1s, N)
     return TruncatedDilation(
-        N=N, r1=r1, n=n, Pi=Pi, symbols=symbols,
-        tail_bound=mc.matrix_power_norm(T1s, N + 1),
-        tail_bound_prev=mc.matrix_power_norm(T1s, N),
+        N=N, n=n, Pi=Pi, coll=coll,
+        tail_bound=mc.operator_norm(tail @ T1s),
+        tail_bound_prev=mc.operator_norm(tail),
         d1_norm=mc.operator_norm(d1.D),
     )
 
@@ -264,11 +281,7 @@ def mpsi_isometry_residual(dil: TruncatedDilation, coll: Colligation) -> MPsiIso
     # rows j r1 .. (j+1) r1 of BD hold B D^j, so BD[j0 r1:]* BD[j0 r1:] is
     # the sum from j = j0
     r1 = dil.r1
-    BD = np.empty(((dil.N + 1) * r1, coll.r2), complex)
-    power = coll.B
-    for j in range(dil.N + 1):
-        BD[j * r1:(j + 1) * r1] = power
-        power = power @ coll.D
+    BD = mc.power_stack(coll.B, coll.D, dil.N + 1).reshape((dil.N + 1) * r1, coll.r2)
     raw = mc.operator_norm(BD) ** 2
     # symbol envelope ||Psi_q|| <= ||B|| ||C|| ||D*^(q-1)||, monotone in q
     bc = mc.operator_norm(coll.B) * mc.operator_norm(coll.C)

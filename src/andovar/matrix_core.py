@@ -28,6 +28,7 @@ __all__ = [
     "unitary_eigvals",
     "svd",
     "matrix_power_norm",
+    "power_stack",
     "first_power_below",
     "polar_unitary",
     "phase_fix_columns",
@@ -258,28 +259,54 @@ def matrix_power_norm(T, k: int) -> float:
     return operator_norm(np.linalg.matrix_power(A, k))
 
 
+def power_stack(X0, T, count: int) -> np.ndarray:
+    """X0 T^k for k = 0..count-1, stacked in an array of shape (count, r, c).
+
+    Built by doubling (Smith, SIAM J. Appl. Math. 16, 1968): once the first
+    m terms are in place, the next m are those m terms times T^m.  The m
+    terms lie contiguously as one (m r) x c block, so each doubling step is
+    one matrix product plus one squaring of T: ceil(log2 count) steps, where
+    the term-by-term recurrence makes count - 1 products.
+    """
+    r, c = X0.shape
+    out = np.empty((count, r, c), complex)
+    out[:1] = X0
+    flat = out.reshape(count * r, c)  # rows k r .. (k+1) r hold X0 T^k
+    filled, power = 1, T
+    while filled < count:
+        step = min(filled, count - filled)
+        flat[filled * r:(filled + step) * r] = flat[:step * r] @ power
+        filled += step
+        power = power @ power
+    return out
+
+
 def first_power_below(T, tol: float, cap: int) -> int:
     """Smallest k in 1..cap with ||T^k|| < tol, or cap + 1 if there is none.
 
-    For a contraction ||T^(k+1)|| <= ||T|| ||T^k|| <= ||T^k||, so once
-    ||T^k|| < tol holds it holds for every larger k.  Hence k can be
-    bracketed by doubling, with ``lo`` the last power at or above tol, and
-    then bisected: O(log k) norms in all."""
-    A = as_matrix(T)
-    lo, hi = 0, 1
-    while hi <= cap and matrix_power_norm(A, hi) >= tol:
-        lo, hi = hi, 2 * hi
-    if hi > cap:
-        if lo == cap or matrix_power_norm(A, cap) >= tol:
-            return cap + 1
-        hi = cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if matrix_power_norm(A, mid) < tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    For a contraction ||T^(k+1)|| <= ||T|| ||T^k|| <= ||T^k||, so the
+    powers at or above tol are exactly 1..k-1.  The doubling phase squares
+    T until a square T^(2^i) falls below tol or 2^i exceeds cap, and keeps
+    the squares.  Then binary lifting finds k - 1: starting from
+    lo = 2^(i-1), each probe j = i-2, ..., 0 forms T^lo T^(2^j) from kept
+    matrices and keeps it while its norm stays at or above tol.  One product
+    and one norm per probe; at most ceil(log2(cap+1)) squarings and
+    2 ceil(log2(cap+1)) + 1 norms per search, and no other matrix power."""
+    power = as_square(T, "power search input")
+    squares = []  # squares[j] = T^(2^j), every one at or above tol
+    while 2 ** len(squares) <= cap and operator_norm(power) >= tol:
+        squares.append(power)
+        power = power @ power
+    if not squares:
+        return 1
+    lo, lo_power = 2 ** (len(squares) - 1), squares.pop()
+    for j in reversed(range(len(squares))):
+        if lo + 2 ** j > cap:
+            continue
+        probe = lo_power @ squares[j]
+        if operator_norm(probe) >= tol:
+            lo, lo_power = lo + 2 ** j, probe
+    return lo + 1
 
 
 def polar_unitary(X) -> np.ndarray:

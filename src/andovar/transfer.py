@@ -314,15 +314,11 @@ def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
 
 
 def taylor_symbols(tf: TransferFunction, count: int) -> list[np.ndarray]:
-    """First ``count`` Taylor coefficients: [A, B C, B D C, B D^2 C, ...]."""
+    """First ``count`` Taylor coefficients: [A, B C, B D C, B D^2 C, ...],
+    with the B D^j from one ``power_stack``."""
     if count < 1:
         raise InputError("count must be >= 1")
-    out = [tf.A.copy()]
-    acc = tf.C.copy()
-    for _ in range(count - 1):
-        out.append(tf.B @ acc)
-        acc = tf.D @ acc
-    return out
+    return [tf.A.copy(), *(mc.power_stack(tf.B, tf.D, count - 1) @ tf.C)]
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.dilation import _SYMBOL_TOL
 from andovar.errors import InputError, PurityError
+from andovar.pair_analysis import GENERATOR_KINDS
 
 from conftest import build_pipeline, make_suite
 
@@ -22,6 +24,100 @@ def assemble_pi_oracle(T1, d1, N):
             d1.basis.conj().T @ d1.D
             @ np.linalg.matrix_power(T1.conj().T, k))
     return Pi
+
+
+def pi_loop_oracle(T1, d1, N):
+    """The block-by-block loop that the doubling stack replaced."""
+    r1, n = d1.rank, T1.shape[0]
+    Pi = np.zeros(((N + 1) * r1, n), complex)
+    block = d1.basis.conj().T @ d1.D
+    for k in range(N + 1):
+        Pi[k * r1:(k + 1) * r1] = block
+        block = block @ T1.conj().T
+    return Pi
+
+
+def symbols_loop_oracle(coll, count):
+    """Psi_0..Psi_(count-1) by the running recurrence on Psi = tau_(U*)."""
+    psi = av.adjoint_transfer(coll)
+    out, acc = [psi.A], psi.C
+    for _ in range(count - 1):
+        out.append(psi.B @ acc)
+        acc = psi.D @ acc
+    return np.array(out)
+
+
+def bd_loop_oracle(coll, count):
+    """B D^j for j < count, one block of rows each."""
+    out, power = [], coll.B
+    for _ in range(count):
+        out.append(power)
+        power = power @ coll.D
+    return np.array(out).reshape(count * coll.r1, coll.r2)
+
+
+def mpsi_adjoint_pi_correlation(dil):
+    """The O(N^2) block correlation: block k is sum_q Psi_q* Pi_(k+q)."""
+    r1 = dil.r1
+    adj_row = dil.symbols.conj().transpose(2, 0, 1).reshape(r1, -1)
+    out = np.empty_like(dil.Pi)
+    for k in range(dil.N + 1):
+        out[k * r1:(k + 1) * r1] = adj_row[:, :dil.rows - k * r1] @ dil.Pi[k * r1:]
+    return out
+
+
+J_HALF = np.array([[0, 0.5], [0, 0]], complex)
+EDGE_PAIRS = {
+    "t2-unitary": (np.diag([0.5, 0.3]), np.diag([1.0, 1j])),
+    "t1-zero": (np.zeros((3, 3)), np.diag([0.5, -0.2j, 0.7])),
+    "nilpotent": (J_HALF, J_HALF),
+}
+
+
+def check_stacks_against_loops(T1, T2, extra):
+    """Pi, the symbols and B D^j agree with their loops within 1e-14, and
+    MPsi* Pi with the correlation within 1e-13; ``extra`` is None for the
+    automatic degree, else the excess of an explicit N over it."""
+    pair, d1, d2, coll, _ = build_pipeline(T1, T2)
+    N = None if extra is None else av.truncation_degree(pair.T1) + extra
+    dil = av.build_dilation(pair, coll, d1, N=N)
+    np.testing.assert_allclose(dil.Pi, pi_loop_oracle(pair.T1, d1, dil.N), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dil.symbols, symbols_loop_oracle(coll, dil.N + 1),
+                               rtol=0, atol=1e-14)
+    BD = mc.power_stack(coll.B, coll.D, dil.N + 1).reshape(dil.rows, coll.r2)
+    np.testing.assert_allclose(BD, bd_loop_oracle(coll, dil.N + 1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dil.mpsi_adjoint_pi, mpsi_adjoint_pi_correlation(dil),
+                               rtol=0, atol=1e-13)
+
+
+class TestStacksAgainstLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(GENERATOR_KINDS), dim=st.integers(1, 6),
+           seed=st.integers(0, 10_000), extra=st.none() | st.integers(0, 40))
+    def test_generated_pairs(self, kind, dim, seed, extra):
+        check_stacks_against_loops(*av.generate_pair(kind, dim, seed), extra)
+
+    @pytest.mark.parametrize("extra", [None, 0, 5])
+    @pytest.mark.parametrize("name", EDGE_PAIRS)
+    def test_edge_pairs(self, name, extra):
+        check_stacks_against_loops(*EDGE_PAIRS[name], extra)
+
+    def test_tail_bounds_from_one_power(self, monkeypatch):
+        pair, d1, d2, coll, _ = build_pipeline(*av.generate_pair("jordan-poly", 4, 3))
+        powers = []
+        matrix_power = np.linalg.matrix_power
+
+        def recording_power(M, k):
+            powers.append(k)
+            return matrix_power(M, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", recording_power)
+        dil = av.build_dilation(pair, coll, d1)
+        assert powers == [dil.N]
+        T1s = mc.adjoint(pair.T1)
+        tail = matrix_power(T1s, dil.N)
+        assert dil.tail_bound_prev == mc.operator_norm(tail)
+        assert dil.tail_bound == mc.operator_norm(tail @ T1s)
 
 
 class TestAssembly:
@@ -131,9 +227,12 @@ class TestMinimality:
 
     def test_empty_first_defect(self):
         # r1 = 0: the rank of the (0, n) block G is 0, and so is the defect
-        dil = av.TruncatedDilation(N=3, r1=0, n=2, Pi=np.zeros((0, 2), complex),
-                                   symbols=np.zeros((4, 0, 0), complex), tail_bound=0.0,
-                                   tail_bound_prev=0.0, d1_norm=0.0)
+        empty = np.zeros((0, 0), complex)
+        coll = av.Colligation(A=empty, B=empty, C=empty, D=empty,
+                              basis1=np.zeros((2, 0), complex),
+                              basis2=np.zeros((2, 0), complex))
+        dil = av.TruncatedDilation(N=3, n=2, Pi=np.zeros((0, 2), complex), coll=coll,
+                                   tail_bound=0.0, tail_bound_prev=0.0, d1_norm=0.0)
         assert av.minimality_defect(dil) == 0
 
     @pytest.mark.parametrize("idx", range(4))

@@ -155,25 +155,114 @@ def test_non_square_input_is_an_input_error(fn, shape):
         fn(np.zeros(shape))
 
 
+def _power_stack_loop(X0, T, count):
+    """The term-by-term recurrence that ``power_stack`` replaced."""
+    out = np.empty((count,) + X0.shape, complex)
+    term = X0
+    for k in range(count):
+        out[k] = term
+        term = term @ T
+    return out
+
+
+class _CountingProducts(np.ndarray):
+    """A matrix that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingProducts.products += 1
+        out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        return out.view(_CountingProducts) if isinstance(out, np.ndarray) else out
+
+
+class TestPowerStack:
+    @settings(max_examples=80, deadline=None)
+    @given(r=st.integers(0, 4), c=st.integers(0, 6), count=st.integers(0, 130),
+           seed=st.integers(0, 10_000), scale=st.floats(0.0, 1.0))
+    def test_matches_the_recurrence(self, r, c, count, seed, scale):
+        rng = np.random.default_rng(seed)
+        X0 = rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
+        X0 /= max(1.0, mc.operator_norm(X0))
+        T = _contraction("dense", c, seed, scale) if c else np.zeros((0, 0))
+        got = mc.power_stack(X0, T, count)
+        assert got.shape == (count, r, c) and got.dtype == complex
+        np.testing.assert_allclose(got, _power_stack_loop(X0, T, count), rtol=0, atol=1e-14)
+        if count:
+            assert np.array_equal(got[0], X0)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 94, 372, 2001])
+    def test_doubling_product_count(self, count):
+        """One stacked product and one squaring per doubling step."""
+        _CountingProducts.products = 0
+        T = np.diag([1.0, 1j]).view(_CountingProducts)
+        got = mc.power_stack(np.ones((3, 2)), T, count)
+        assert _CountingProducts.products == 2 * int(np.ceil(np.log2(count)))
+        # the powers of diag(1, i) are exact: row 0 of term k is [1, i^k]
+        i_k = np.array([1, 1j, -1, -1j])[np.arange(count) % 4]
+        assert np.array_equal(got[:, 0], np.stack([np.ones(count), i_k], axis=1))
+
+
 def _first_power_below_scan(norms, tol):
     """Linear-scan oracle: first k (from 1) with norms[k-1] < tol, else
     len(norms) + 1."""
     return next((k for k, v in enumerate(norms, start=1) if v < tol), len(norms) + 1)
 
 
-class TestFirstPowerBelow:
-    @settings(max_examples=80, deadline=None)
-    @given(r=st.integers(1, 6), seed=st.integers(0, 10_000),
-           scale=st.floats(0.0, 1.0), log_tol=st.floats(-12.0, 0.0),
-           cap=st.integers(1, 300))
-    def test_matches_linear_scan(self, r, seed, scale, log_tol, cap):
+def _contraction(kind, r, seed, scale):
+    """A diagonal, Jordan-block or dense random matrix of norm ``scale``."""
+    rng = np.random.default_rng(seed)
+    if kind == "diag":
+        M = np.diag(rng.uniform(size=r) * np.exp(2j * np.pi * rng.uniform(size=r)))
+    elif kind == "jordan":
+        M = rng.uniform() * np.exp(2j * np.pi * rng.uniform()) * np.eye(r) + np.eye(r, k=1)
+    else:
         M = _random_matrix(r, seed)
-        T = scale * M / mc.operator_norm(M)
+    norm = mc.operator_norm(M)
+    return scale * M / norm if norm else M
+
+
+class TestFirstPowerBelow:
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(["diag", "jordan", "dense"]), r=st.integers(1, 6),
+           seed=st.integers(0, 10_000), scale=st.floats(0.0, 1.0),
+           log_tol=st.floats(-12.0, float(np.log10(0.99))), cap=st.integers(0, 300))
+    def test_matches_linear_scan(self, kind, r, seed, scale, log_tol, cap):
+        T = _contraction(kind, r, seed, scale)
         tol = 10.0 ** log_tol
         norms = [mc.matrix_power_norm(T, k) for k in range(1, cap + 1)]
         # the search is exact up to rounding: keep tol off every computed norm
         assume(all(abs(v - tol) > 1e-9 * tol for v in norms))
         assert mc.first_power_below(T, tol, cap) == _first_power_below_scan(norms, tol)
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 5, 64, 93, 300, 2000])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-5, 0.5, 0.99])
+    @pytest.mark.parametrize("T", [np.eye(3), np.zeros((3, 3)), np.diag([0.999, 0.5j]),
+                                   _contraction("jordan", 4, 7, 1.0)],
+                             ids=["identity", "zero", "diag", "jordan"])
+    def test_norm_count_and_no_fresh_powers(self, monkeypatch, T, tol, cap):
+        """At most 2 ceil(log2(cap+1)) + 1 norms, and every probe is built
+        from the kept squares: a fresh matrix power per probe fails here."""
+        norms = []
+        norm = mc.operator_norm
+
+        def counting_norm(M):
+            norms.append(1)
+            return norm(M)
+
+        def no_matrix_power(M, k):
+            raise AssertionError("first_power_below took a fresh matrix power")
+
+        monkeypatch.setattr(mc, "operator_norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "matrix_power", no_matrix_power)
+        got = mc.first_power_below(T, tol, cap)
+        monkeypatch.undo()
+        assert len(norms) <= 2 * int(np.ceil(np.log2(cap + 1))) + 1
+        powers = [np.eye(len(T))]
+        for _ in range(cap):
+            powers.append(powers[-1] @ T)
+        assert got == _first_power_below_scan([mc.operator_norm(P) for P in powers[1:]], tol)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 7, 100, 300])
     def test_zero_matrix_is_one(self, cap):
