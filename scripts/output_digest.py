@@ -109,6 +109,12 @@ def _outputs(pair: av.ContractionPair, a: av.Analysis):
     def dilation():
         return av.build_dilation(pair, a.coll, d1)
 
+    def dilation_fields():
+        # the dilation's own fields; its pair is the input, digested as "report"
+        dil = dilation()
+        return ({f.name: getattr(dil, f.name) for f in dataclasses.fields(dil)
+                 if f.name != "pair"}, dil.mpsi_adjoint_pi)
+
     def residuals():
         dil = dilation()
         return (av.intertwining_residuals(dil, pair), av.compression_residuals(dil, pair),
@@ -116,7 +122,7 @@ def _outputs(pair: av.ContractionPair, a: av.Analysis):
 
     def scan():
         s = av.boundary_scan(a.psi, N_THETA)
-        return s, s.max_deviation(), s.skip_rate
+        return s, s.max_deviation()
 
     return [
         ("colligation", lambda: (serialize.dumps(a.coll.to_dict()), a.coll.matrix,
@@ -135,7 +141,7 @@ def _outputs(pair: av.ContractionPair, a: av.Analysis):
         ("series.residuals", lambda: series().residuals),
         ("series.tail_bounds", lambda: series().tail_bounds),
         ("symmetry", lambda: av.symmetry_residual(pair, n_samples=4)),
-        ("dilation", lambda: (dilation(), dilation().mpsi_adjoint_pi)),
+        ("dilation", dilation_fields),
         ("dilation.residuals", residuals),
     ]
 

@@ -12,7 +12,6 @@ from .dilation import (
 )
 from .errors import (
     AndovarError,
-    BoundaryPoleError,
     ChainViolationError,
     CommutationError,
     ContractionError,

@@ -89,6 +89,7 @@ class TruncatedDilation:
     n: int
     Pi: np.ndarray
     coll: Colligation            # realizes Psi = tau_(U*)
+    pair: ContractionPair        # the pair dilated
     tail_bound: float            # ||T1*^(N+1)||
     tail_bound_prev: float       # ||T1*^N||
     d1_norm: float               # ||D_T1||
@@ -140,6 +141,12 @@ class TruncatedDilation:
             Z[k] = CP[k] + D @ Z[k + 1]
         return (c.A @ P + c.B @ Z).reshape(self.rows, self.n)
 
+    @functools.cached_property
+    def res_psi(self) -> float:
+        """||Pi T2* - MPsi* Pi||, read by both the intertwining and the
+        compression report."""
+        return mc.operator_norm(self.Pi @ mc.adjoint(self.pair.T2) - self.mpsi_adjoint_pi)
+
 
 def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
                    N: int | None = None, tol_trunc: float | None = None,
@@ -169,7 +176,7 @@ def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
     Pi = mc.power_stack(mc.adjoint(d1.basis) @ d1.D, T1s, N + 1).reshape((N + 1) * d1.rank, n)
     tail = np.linalg.matrix_power(T1s, N)
     return TruncatedDilation(
-        N=N, n=n, Pi=Pi, coll=coll,
+        N=N, n=n, Pi=Pi, coll=coll, pair=pair,
         tail_bound=mc.operator_norm(tail @ T1s),
         tail_bound_prev=mc.operator_norm(tail),
         d1_norm=mc.operator_norm(d1.D),
@@ -189,15 +196,14 @@ def intertwining_residuals(dil: TruncatedDilation, pair: ContractionPair) -> Int
 
     Only the dropped top row feeds res_z, so it is bounded by
     ||D_T1|| * ||T1*^(N+1)||; the Toeplitz truncation gives res_psi at most
-    sqrt(N+1) times the tail norm.
+    sqrt(N+1) times the tail norm.  ``pair`` is the pair ``dil`` dilates.
     """
     mz_adj_pi = np.zeros_like(dil.Pi)
     mz_adj_pi[:dil.rows - dil.r1] = dil.Pi[dil.r1:]
     res_z = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T1) - mz_adj_pi)
-    res_psi = mc.operator_norm(dil.Pi @ mc.adjoint(pair.T2) - dil.mpsi_adjoint_pi)
     return IntertwiningReport(
         res_z=res_z,
-        res_psi=res_psi,
+        res_psi=dil.res_psi,
         bound_z=dil.d1_norm * dil.tail_bound,
         bound_psi=float(np.sqrt(dil.N + 1)) * dil.tail_bound,
     )
@@ -212,20 +218,18 @@ class CompressionReport:
 
 
 def compression_residuals(dil: TruncatedDilation, pair: ContractionPair) -> CompressionReport:
-    """How well Pi* Mz Pi and Pi* MPsi Pi recover T1 and T2."""
+    """How well Pi* Mz Pi and Pi* MPsi Pi recover T1 and T2; ``pair`` is
+    the pair ``dil`` dilates."""
     Pi, r1 = dil.Pi, dil.r1
-    mpsi_adj_pi = dil.mpsi_adjoint_pi
     pi_mz_pi = mc.adjoint(Pi[r1:]) @ Pi[:dil.rows - r1]
-    pi_mpsi_pi = mc.adjoint(mpsi_adj_pi) @ Pi
+    pi_mpsi_pi = mc.adjoint(dil.mpsi_adjoint_pi) @ Pi
     res_t1 = mc.operator_norm(pi_mz_pi - pair.T1)
     res_t2 = mc.operator_norm(pi_mpsi_pi - pair.T2)
-    # the intertwining residual res_psi, from the same MPsi* Pi
-    res_psi = mc.operator_norm(Pi @ mc.adjoint(pair.T2) - mpsi_adj_pi)
     return CompressionReport(
         res_t1=res_t1,
         res_t2=res_t2,
         bound_t1=dil.tail_bound * dil.tail_bound_prev,
-        bound_t2=dil.tail_bound ** 2 + res_psi,
+        bound_t2=dil.tail_bound ** 2 + dil.res_psi,
     )
 
 

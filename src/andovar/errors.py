@@ -51,15 +51,6 @@ class NumericError(AndovarError):
         self.details = details
 
 
-class BoundaryPoleError(NumericError):
-    """A resolvent (I - z D)^{-1} is numerically singular at the requested z."""
-
-    def __init__(self, message: str, z: complex, cond: float):
-        super().__init__(message)
-        self.z = z
-        self.cond = cond
-
-
 class ChainViolationError(AndovarError):
     """The certified norm chain failed beyond its sampling slack.
 

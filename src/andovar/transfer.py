@@ -2,8 +2,10 @@
 
 For U = [[A, B], [C, D]] unitary, tau_U(z) = A + z B (I - z D)^{-1} C is a
 rational matrix inner function: contractive on the disc and unitary on the
-circle away from resolvent poles.  The multiplier driving the dilation is
-the adjoint-direction transfer function
+circle.  When the colligation comes from a pair whose first entry is pure,
+I - z D is invertible on the whole closed disc (see :func:`_eval_chunk`).
+The multiplier driving the dilation is the adjoint-direction transfer
+function
 
     Psi(z) = tau_{U*}(z) = A* + z C* (I - z D*)^{-1} B*.
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .colligation import Colligation, build_colligation
-from .errors import BoundaryPoleError, InputError, NumericError, ValidationError
+from .errors import InputError, NumericError, ValidationError
 from .pair_analysis import DEFAULT_TOL, ContractionPair
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "analyze",
 ]
 
+# cond(I - zD) past which an evaluation raises NumericError (a pole)
 _COND_LIMIT = 1e14
 # how far past the unit circle a point may lie and still count as in the
 # closed disc (or on the circle): a few ulps of e^{i theta} are 1e-16
@@ -80,8 +83,8 @@ def adjoint_transfer(coll: Colligation) -> TransferFunction:
     )
 
 
-def _eval_chunk(tf: TransferFunction, z: np.ndarray):
-    """tau at the non-pole points of z, and cond(I - z_i D) or a bound on it.
+def _eval_chunk(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
+    """tau at every point of z; NumericError at a resolvent pole.
 
     A point is a pole when the 2-norm condition number of I - z D is not
     finite or exceeds ``_COND_LIMIT``; the values are formed as
@@ -90,39 +93,59 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray):
     Screen.  With a = |z| ||D||_2 < 1, Weyl's inequality for singular values
     gives ``s_max(I - zD) <= 1 + a`` and ``s_min(I - zD) >= 1 - a``, so
     ``cond(I - zD) <= (1 + a)/(1 - a)``.  A point whose bound is at most
-    ``_COND_LIMIT / 100`` is a certified non-pole and the bound is its
-    returned cond; only the other points get the stacked SVD of R = I - zD
-    and the rule ``cond = s_max/s_min``.  The screen changes no output.  The
-    computed singular values of R lie within O(k eps ||R||) of the exact ones,
-    with ||R|| <= 2, and the computed ||D||_2 has relative error O(k eps)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
-    2002, for both).  A screened point has ``1 - a >= 2/(1 + 1e12)``, so
-    the SVD rule would have read ``cond <~ 1.01e12 < _COND_LIMIT`` there.
-    The pole mask is therefore the rule's mask at every point, the values
-    come from the same solve on the same R[ok], and a pole's cond is still
-    its SVD value: every output is bit-identical to applying the rule at
-    every point.
+    ``_COND_LIMIT / 100`` is a certified non-pole; only the other points get
+    the stacked SVD of R = I - zD and the rule ``cond = s_max/s_min``.  The
+    computed singular values of R lie within O(k eps ||R||) of the exact
+    ones, with ||R|| <= 2, and the computed ||D||_2 has relative error
+    O(k eps) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., SIAM 2002, for both).  A screened point has
+    ``1 - a >= 2/(1 + 1e12)``, so the SVD rule would have read
+    ``cond <~ 1.01e12 < _COND_LIMIT`` there: the screen raises at exactly
+    the points the rule calls poles, with the rule's cond.
+
+    Why no caller meets a pole.  Let U = [[a, b], [c, d]] be the colligation
+    that ``build_colligation`` returns for a pair whose T1 is pure; the
+    D-block here is d (for tau_U) or d* (for Psi and its c.n.u. part).
+    Suppose d x = lambda x with |lambda| = 1 = ||x||.  U is unitary, so
+    ||U (0 (+) x)|| = 1 forces b x = 0; a unimodular eigenvector of a
+    contraction is one of its adjoint too, so d* x = conj(lambda) x, and
+    ||U* (0 (+) x)|| = 1 forces c* x = 0.  Hence
+    U* (0 (+) x) = conj(lambda) (0 (+) x), and pairing the forced action
+    U M_dom = M_ran with 0 (+) x gives <h, y> = lambda <h, T1 y> for every
+    h, where y = D2 E2 x is not 0 (E2 x is a unit vector of ran D2).  So
+    T1 y = lambda y: a unimodular eigenvalue, which a pure T1 does not
+    have.  Therefore rho(D) < 1 and I - zD is invertible on the closed disc
+    for every colligation of a pair with T1 pure, the condition that every
+    evaluation on the circle must meet (``vn_report``, the variety
+    commands and ``symmetry_residual`` require it; Agler and McCarthy,
+    Distinguished varieties, Acta Math. 194 (2005): such a variety meets
+    the boundary of the bidisc only in the torus).  A pole here is a
+    numerical failure, or a colligation not built from such a pair.
     """
     k = tf.D.shape[0]
     # kept: the general A + (zB) S would add +0.0 and turn -0.0 entries of A into +0.0
     if k == 0:
-        return np.repeat(tf.A[None], z.size, axis=0), np.ones(z.size)
+        return np.repeat(tf.A[None], z.size, axis=0)
     R = np.eye(k) - z[:, None, None] * tf.D
     a = np.abs(z) * tf.d_norm
     cond = np.divide(1.0 + a, 1.0 - a, out=np.full(z.size, np.inf), where=a < 1.0)
-    rest = cond > _COND_LIMIT / 100
+    rest = np.flatnonzero(cond > _COND_LIMIT / 100)
     try:
-        if rest.any():
+        if rest.size:
             s = np.linalg.svd(R[rest], compute_uv=False)
             cond[rest] = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf),
                                    where=s[:, -1] > 0)
-        ok = cond <= _COND_LIMIT
+            poles = rest[~(cond[rest] <= _COND_LIMIT)]
+            if poles.size:
+                z0, c0 = complex(z[poles[0]]), float(cond[poles[0]])
+                raise NumericError(f"resolvent numerically singular at z={z0} "
+                                   f"(cond={c0:.3e})", z=z0, cond=c0)
         # C[None] is a stack of one matrix; numpy < 2 reads a 2-d right-hand
         # side against a 3-d stack as a stack of vectors
-        S = np.linalg.solve(R[ok], tf.C[None])
+        S = np.linalg.solve(R, tf.C[None])
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"resolvent evaluation failed: {exc}") from exc
-    return tf.A + (z[ok, None, None] * tf.B) @ S, cond
+    return tf.A + (z[:, None, None] * tf.B) @ S
 
 
 def disc_points(z) -> np.ndarray:
@@ -146,33 +169,18 @@ def eval_tau_many(tf: TransferFunction, z, reduce):
     chunk's stack of values, shape (m, dim, dim), to the rows the caller
     keeps (eigenvalues, singular values, or the values themselves).  Points
     where ``|z| ||D||_2`` keeps I - zD far from singular skip the pole SVD
-    (see :func:`_eval_chunk`); the rest are tested by it.
-    Returns the reduced rows of the non-pole points, in order, and the
-    boolean mask of the poles (see :func:`eval_tau`).
+    (see :func:`_eval_chunk`); a pole raises :class:`NumericError`.
+    Returns the reduced rows of every point, in order.
     """
     z = disc_points(z)
-    rows, poles = [], []
-    for start in range(0, max(z.size, 1), _EVAL_CHUNK):
-        values, cond = _eval_chunk(tf, z[start:start + _EVAL_CHUNK])
-        rows.append(reduce(values))
-        poles.append(~(cond <= _COND_LIMIT))
-    return np.concatenate(rows), np.concatenate(poles)
+    return np.concatenate([reduce(_eval_chunk(tf, z[start:start + _EVAL_CHUNK]))
+                           for start in range(0, max(z.size, 1), _EVAL_CHUNK)])
 
 
 def eval_tau(tf: TransferFunction, z: complex) -> np.ndarray:
-    """Evaluate the transfer function at |z| <= 1.
-
-    At boundary points where I - z D is numerically singular the value is a
-    genuine pole of the resolvent formula; this raises
-    :class:`BoundaryPoleError` and the caller is expected to skip or perturb.
-    """
-    z = complex(z)
-    values, cond = _eval_chunk(tf, disc_points(z))
-    if not len(values):
-        raise BoundaryPoleError(
-            f"resolvent numerically singular at z={z} (cond={cond[0]:.3e})",
-            z=z, cond=float(cond[0]))
-    return values[0]
+    """Evaluate the transfer function at |z| <= 1; a resolvent pole raises
+    :class:`NumericError` with ``details`` z and cond (see :func:`_eval_chunk`)."""
+    return _eval_chunk(tf, disc_points(z))[0]
 
 
 def schur_identity_residual(tf: TransferFunction, z: complex) -> float:
@@ -276,12 +284,11 @@ class BoundaryScan:
     thetas: np.ndarray
     sigma_min: np.ndarray
     sigma_max: np.ndarray
-    skipped: list
 
     @property
-    def skip_rate(self) -> float:
-        total = len(self.thetas) + len(self.skipped)
-        return len(self.skipped) / total if total else 0.0
+    def skipped(self) -> list:
+        # always empty: perfbench/ reads it; it goes with ROADMAP item 5
+        return []
 
     def max_deviation(self) -> float:
         return float(max(np.max(np.abs(self.sigma_min - 1.0), initial=0.0),
@@ -297,20 +304,12 @@ def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
-    """Singular-value sweep of tau(e^{i theta}) over a uniform grid.
-
-    Boundary poles of the resolvent are skipped and reported rather than
-    extrapolated.
-    """
+    """Singular-value sweep of tau(e^{i theta}) over a uniform grid; a
+    resolvent pole raises :class:`NumericError` (see :func:`_eval_chunk`)."""
     thetas, z = circle_grid(n_theta)
-    s, poles = eval_tau_many(tf, z, lambda values: (
+    s = eval_tau_many(tf, z, lambda values: (
         np.linalg.svd(values, compute_uv=False) if tf.dim else np.ones((len(values), 1))))
-    return BoundaryScan(
-        thetas=thetas[~poles],
-        sigma_min=s[:, -1],
-        sigma_max=s[:, 0],
-        skipped=thetas[poles].tolist(),
-    )
+    return BoundaryScan(thetas=thetas, sigma_min=s[:, -1], sigma_max=s[:, 0])
 
 
 def taylor_symbols(tf: TransferFunction, count: int) -> list[np.ndarray]:

@@ -3,9 +3,11 @@
 The fiber over z1 splits into V0 points (the unimodular spectrum of the
 constant unitary part, independent of z1) and V1 points (eigenvalues of the
 c.n.u. transfer function).  Boundary fibers sit on the unit circle by
-innerness; interior fibers of pure-pure pairs stay strictly inside the
-bidisc.  Membership is measured by eigenvalue distance rather than raw
-determinant magnitude, which keeps tolerances dimension-stable.
+innerness, and every boundary point has one: Psi of a pair with T1 pure
+has no resolvent pole on the closed disc (see ``transfer._eval_chunk``).
+Interior fibers of pure-pure pairs stay strictly inside the bidisc.
+Membership is measured by eigenvalue distance rather than raw determinant
+magnitude, which keeps tolerances dimension-stable.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .transfer import (
     circle_grid,
     cnu_part,
     disc_points,
-    eval_tau,
     eval_tau_many,
 )
 
@@ -48,25 +49,30 @@ _SYMMETRY_SEED = 20260808
 
 @dataclass(frozen=True)
 class VarietySample:
-    """Fibers over the kept boundary points z1 = e^{i theta_grid}."""
+    """Fibers over the boundary points z1 = e^{i theta_grid}."""
 
-    values: np.ndarray    # one fiber per kept theta: the k V0 columns, then V1
+    values: np.ndarray    # one fiber per theta: the k V0 columns, then V1
     k: int
     theta_grid: np.ndarray
-    skipped_thetas: list
+
+    @property
+    def skipped_thetas(self) -> list:
+        # always empty: perfbench/ reads it; it goes with ROADMAP item 5
+        return []
 
     def __len__(self) -> int:
         return self.values.size
 
 
-def fibers(coll: Colligation, split: CanonicalSplit, z1):
-    """Fiber values over each point of z1 and the boolean mask of the poles.
+def fibers(coll: Colligation, split: CanonicalSplit, z1) -> np.ndarray:
+    """Fiber values over each point of z1.
 
     Row i lists the V0 values ``split.lambdas``, then the ordered
-    eigenvalues of Psi_cnu at the i-th non-pole point (the V1 values).  A
-    point is a pole of Psi_cnu by the rule of :func:`eval_tau_many`; when
-    Psi_cnu has dimension 0 nothing is evaluated, so no point is a pole.
-    Every |z1_i| must be at most 1.
+    eigenvalues of Psi_cnu at z1_i (the V1 values).  Every |z1_i| must be
+    at most 1.  A pole of Psi_cnu raises :class:`NumericError` (see
+    :func:`transfer._eval_chunk`: a colligation of a pair with T1 pure has
+    none on the closed disc); when Psi_cnu has dimension 0 nothing is
+    evaluated.
 
     Psi_cnu is unitary on the circle, so when every |z1_i| is 1 within
     ``_DISC_TOL`` its eigenvalues come from the Hermitian Cayley solve
@@ -79,29 +85,27 @@ def fibers(coll: Colligation, split: CanonicalSplit, z1):
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
     z1 = disc_points(z1)
     psi_cnu = cnu_part(adjoint_transfer(coll), split)
-    # kept: with no V1 values, evaluating would still mark the poles of D and skip thetas
+    # kept: with no V1 values there is nothing to evaluate, and the D of a
+    # colligation not built from a pure T1 may have a pole on the circle
     if psi_cnu.dim:
         on_circle = np.all(np.abs(np.abs(z1) - 1.0) <= _DISC_TOL)
-        v1, poles = eval_tau_many(psi_cnu, z1,
-                                  mc.unitary_eigvals if on_circle else mc.eigvals)
+        v1 = eval_tau_many(psi_cnu, z1, mc.unitary_eigvals if on_circle else mc.eigvals)
     else:
-        v1, poles = np.zeros((z1.size, 0), complex), np.zeros(z1.size, bool)
-    return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1]), poles
+        v1 = np.zeros((z1.size, 0), complex)
+    return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
 
 
 def boundary_samples(coll: Colligation, split: CanonicalSplit,
                      n_theta: int) -> VarietySample:
-    """Fibers over the unit circle; pole thetas are skipped and reported.
+    """Fibers over the unit circle, one per theta of ``circle_grid(n_theta)``.
 
-    ``values`` is the :func:`fibers` array of the kept thetas: each row
-    lists its V0 points, then its V1 points, each group ordered by
-    (real, imag).  Every z1 is on the circle, so the V1 points come from
-    the Hermitian Cayley solve (see :func:`fibers`).
+    ``values`` is the :func:`fibers` array: each row lists its V0 points,
+    then its V1 points, each group ordered by (real, imag).  Every z1 is on
+    the circle, so the V1 points come from the Hermitian Cayley solve (see
+    :func:`fibers`).
     """
     thetas, z1 = circle_grid(n_theta)
-    values, poles = fibers(coll, split, z1)
-    return VarietySample(values=values, k=split.k, theta_grid=thetas[~poles],
-                         skipped_thetas=thetas[poles].tolist())
+    return VarietySample(values=fibers(coll, split, z1), k=split.k, theta_grid=thetas)
 
 
 @dataclass(frozen=True)
@@ -120,8 +124,8 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
     T1* + mu T2* and verified against both factors; mu is redrawn at most
     three times (deterministic seed) if verification fails.  The kept
     pairs are measured against one :func:`fibers` call over their lambda1;
-    a pole there raises :class:`BoundaryPoleError`, and an empty variety
-    (T1 unitary) a :class:`NumericError`.
+    a pole there, or an empty variety (T1 unitary), raises
+    :class:`NumericError`.
     """
     T1s, T2s = mc.adjoint(pair.T1), mc.adjoint(pair.T2)
     rng = np.random.default_rng(_JOINT_EIG_SEED)
@@ -140,7 +144,7 @@ def joint_eig_membership(pair: ContractionPair, coll: Colligation,
             break
     kept = (np.abs(lam1) < 1.0) & (np.abs(lam2) <= 1.0 + 1e-10)
     lam1, lam2 = lam1[kept], lam2[kept]
-    res = np.min(np.abs(_interior_fibers(coll, split, lam1) - lam2[:, None]), axis=1)
+    res = np.min(np.abs(fibers(coll, split, lam1) - lam2[:, None]), axis=1)
     return JointEigReport(entries=list(zip(lam1.tolist(), lam2.tolist(), res.tolist())),
                           failures=best_failures)
 
@@ -160,21 +164,11 @@ def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
     for forward, backward in (sides, sides[::-1]):
         u = rng.uniform(size=(n_samples, 2))
         z1 = 0.95 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-        z2 = _interior_fibers(forward.coll, forward.split, z1)
-        back = _interior_fibers(backward.coll, backward.split, z2.ravel())
+        z2 = fibers(forward.coll, forward.split, z1)
+        back = fibers(backward.coll, backward.split, z2.ravel())
         dist = np.min(np.abs(back - np.repeat(z1, z2.shape[1])[:, None]), axis=1)
         worst = max(worst, float(np.max(dist, initial=0.0)))
     return worst
-
-
-def _interior_fibers(coll: Colligation, split: CanonicalSplit, z: np.ndarray) -> np.ndarray:
-    """:func:`fibers` over z where a pole is an error: raises
-    :class:`BoundaryPoleError` at the first pole."""
-    values, poles = fibers(coll, split, z)
-    if poles.any():
-        # the same pole rule as fibers, so this raises with the pole's cond
-        eval_tau(cnu_part(adjoint_transfer(coll), split), z[poles][0])
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +176,7 @@ def _interior_fibers(coll: Colligation, split: CanonicalSplit, z: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 def _fiber_rows(sample: VarietySample):
-    """(theta, z1, (z2, kind) pairs of its fiber) per kept theta."""
+    """(theta, z1, (z2, kind) pairs of its fiber) per theta."""
     kinds = ["V0"] * sample.k + ["V1"] * (sample.values.shape[1] - sample.k)
     z1s = np.exp(1j * sample.theta_grid).tolist()
     for theta, z1, fiber in zip(sample.theta_grid.tolist(), z1s, sample.values.tolist()):

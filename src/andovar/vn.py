@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matrix_core as mc
 from .colligation import Colligation
-from .errors import ChainViolationError, InputError, NumericError
+from .errors import ChainViolationError, InputError
 from .pair_analysis import ContractionPair
 from .transfer import CanonicalSplit, analyze, circle_grid
 from .variety import fibers
@@ -115,7 +115,7 @@ class SupEstimate:
     value: float
     slack: float
     grid: int
-    skipped: int = 0
+    skipped: int = 0  # always 0: perfbench/ reads it; it goes with ROADMAP item 5
 
 
 def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
@@ -127,15 +127,13 @@ def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
     having pushed the first coordinate of V0 to the circle.  The V1 values
     come from one :func:`fibers` call on the grid, which solves the unitary
     Psi_cnu(e^{i theta}) by the Hermitian Cayley route of
-    :func:`matrix_core.unitary_eigvals` (within 1e-13 of ``eigvals``).
+    :func:`matrix_core.unitary_eigvals` (within 1e-13 of ``eigvals``).  A
+    resolvent pole of Psi_cnu raises :class:`NumericError`.
     """
     _, z1 = circle_grid(n_theta)
-    z2, poles = fibers(coll, split, z1)
-    if poles.all():
-        raise NumericError("every boundary sample hit a resolvent pole")
-    best = float(np.max(np.abs(p(z1[~poles, None], z2))))
+    best = float(np.max(np.abs(p(z1[:, None], fibers(coll, split, z1)))))
     slack = p.lipschitz_bound() * (2.0 * np.pi / n_theta) + 1e-9
-    return SupEstimate(value=best, slack=slack, grid=n_theta, skipped=int(poles.sum()))
+    return SupEstimate(value=best, slack=slack, grid=n_theta)
 
 
 def sup_on_bidisc(p: BivariatePolynomial, n_grid: int = DEFAULT_TORUS_GRID) -> SupEstimate:
@@ -185,7 +183,7 @@ class VNReport:
     margins: tuple[float, float]
     sampling: dict = field(default_factory=dict)
     pair_digest: str = ""
-    skipped_thetas: int = 0
+    skipped_thetas: int = 0  # always 0: perfbench/ reads it; it goes with ROADMAP item 5
 
     def to_dict(self) -> dict:
         return {
@@ -237,5 +235,4 @@ def vn_report(pair: ContractionPair, p: BivariatePolynomial,
         margins=(sv.value - lhs, sb.value - sv.value),
         sampling={"n_theta": n_theta, "torus_grid": torus_grid},
         pair_digest=_pair_digest(pair),
-        skipped_thetas=sv.skipped,
     )

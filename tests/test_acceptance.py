@@ -107,17 +107,14 @@ def test_criterion_04_schur_identity():
 
 @criterion(5, "boundary innerness of the multiplier")
 def test_criterion_05_innerness():
+    # every theta is kept: Psi of a pair with T1 pure has no boundary pole,
+    # and a pole would raise NumericError
     suite = make_suite(25, seed0=5000)
-    total_kept, total_skipped = 0, 0
     for idx, (kind, dim, T1, T2) in enumerate(suite):
         _, _, _, coll, _ = build_pipeline(T1, T2)
         scan = av.boundary_scan(av.adjoint_transfer(coll), n_theta=720)
         assert scan.max_deviation() <= 1e-6, (kind, dim, idx)
-        total_kept += len(scan.thetas)
-        total_skipped += len(scan.skipped)
-    skip_rate = total_skipped / (total_kept + total_skipped)
-    print(f"  innerness skip rate: {skip_rate:.4%}", end="")
-    assert skip_rate < 0.01
+        assert len(scan.thetas) == 720, (kind, dim, idx)
 
 
 @criterion(6, "dilation intertwining, compression, minimality")
@@ -157,8 +154,7 @@ def test_criterion_07_split_and_interior_spectra():
                    + split.H1 @ split.E_cnu @ mc.adjoint(split.H1))
         assert mc.operator_norm(rebuilt - Astar) <= 1e-9
         psi = av.adjoint_transfer(coll)
-        eigs, poles = av.eval_tau_many(psi, interior_points(50, seed=7500 + idx), mc.eigvals)
-        assert not poles.any(), (kind, dim, idx)
+        eigs = av.eval_tau_many(psi, interior_points(50, seed=7500 + idx), mc.eigvals)
         max_mod = np.max(np.abs(eigs), axis=1)
         assert np.all(max_mod <= 1.0 - 1e-12), (kind, dim, idx, max_mod.max())
     # unitary-direction instances exercise a nontrivial split

@@ -2,7 +2,8 @@
 
 The reference functions below evaluate the transfer function one point at a
 time, with one condition-number SVD and one solve per point, exactly as the
-library did before its loops were stacked.  At circle points they take the
+library did before its loops were stacked; a pole raises, as it does in the
+library.  At circle points they take the
 fiber eigenvalues from ``unitary_eigvals`` of the single value, as the
 library does for a whole chunk, and at interior points from ``eigvals``.
 The arithmetic is unchanged, so the outputs must agree bit for bit; only
@@ -18,7 +19,7 @@ import pytest
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.colligation import Colligation
-from andovar.errors import BoundaryPoleError, InputError, NumericError
+from andovar.errors import InputError, NumericError
 from andovar.transfer import TransferFunction
 from andovar.variety import VarietySample, sample_to_csv
 from andovar.vn import BivariatePolynomial, sup_on_variety
@@ -37,24 +38,20 @@ def ref_eval_tau(tf, z):
     R = np.eye(k) - z * tf.D
     cond = np.linalg.cond(R)
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise BoundaryPoleError("pole", z=z, cond=cond)
+        raise NumericError("pole", z=z, cond=cond)
     return tf.A + z * tf.B @ np.linalg.solve(R, tf.C)
 
 
 def ref_boundary_scan(tf, n_theta):
-    thetas, smin, smax, skipped = [], [], [], []
+    thetas, smin, smax = [], [], []
     for j in range(n_theta):
         theta = 2.0 * np.pi * j / n_theta
-        try:
-            val = ref_eval_tau(tf, np.exp(1j * theta))
-        except BoundaryPoleError:
-            skipped.append(theta)
-            continue
+        val = ref_eval_tau(tf, np.exp(1j * theta))
         s = np.linalg.svd(val, compute_uv=False) if val.size else [1.0]
         thetas.append(theta)
         smin.append(float(s[-1]))
         smax.append(float(s[0]))
-    return np.asarray(thetas), np.asarray(smin), np.asarray(smax), skipped
+    return np.asarray(thetas), np.asarray(smin), np.asarray(smax)
 
 
 def ref_fiber(coll, split, z1):
@@ -66,39 +63,29 @@ def ref_fiber(coll, split, z1):
 
 
 def ref_boundary_samples(coll, split, n_theta):
-    rows, kept, skipped = [], [], []
+    rows, thetas = [], []
     for j in range(n_theta):
         theta = 2.0 * np.pi * j / n_theta
-        z1 = np.exp(1j * theta)
-        try:
-            fiber = ref_fiber(coll, split, z1)
-        except BoundaryPoleError:
-            skipped.append(theta)
-            continue
-        kept.append(theta)
+        thetas.append(theta)
         row = []
-        for z2, kind in fiber:
+        for z2, kind in ref_fiber(coll, split, np.exp(1j * theta)):
             assert (kind == "V0") == (len(row) < split.k)
             row.append(z2)
         rows.append(row)
-    return VarietySample(values=np.array(rows, complex).reshape(len(kept), coll.r1),
-                         k=split.k, theta_grid=np.asarray(kept), skipped_thetas=skipped)
+    return VarietySample(values=np.array(rows, complex).reshape(n_theta, coll.r1),
+                         k=split.k, theta_grid=np.asarray(thetas))
 
 
 def ref_sup_on_variety(p, coll, split, n_theta):
     psi_cnu = av.cnu_part(av.adjoint_transfer(coll), split)
-    best, skipped = -np.inf, 0
+    best = -np.inf
     for j in range(n_theta):
         z1 = np.exp(2j * np.pi * j / n_theta)
         vals = [np.asarray(split.lambdas)] if split.k else []
         if psi_cnu.dim:
-            try:
-                vals.append(mc.unitary_eigvals(ref_eval_tau(psi_cnu, z1)[None])[0])
-            except BoundaryPoleError:
-                skipped += 1
-                continue
+            vals.append(mc.unitary_eigvals(ref_eval_tau(psi_cnu, z1)[None])[0])
         best = max(best, float(np.max(np.abs(p(z1, np.concatenate(vals))))))
-    return best, skipped
+    return best
 
 
 def ref_symmetry_residual(pair, n_samples):
@@ -122,7 +109,10 @@ PAIRS += [("near-pole", *NEAR_POLE), ("all-V0", *ALL_V0)]
 
 
 def pole_at_one():
-    """Colligation whose multiplier has D* = [[1]], a pole at theta = 0."""
+    """Colligation whose multiplier has D* = [[1]], a pole at theta = 0.
+
+    U = diag(0.5, 1) is not unitary, so no pair has it as its colligation:
+    a colligation of a pair with T1 pure has rho(D) < 1."""
     coll = Colligation(A=np.array([[0.5]], complex), B=np.zeros((1, 1), complex),
                        C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex),
                        basis1=np.eye(1, dtype=complex), basis2=np.eye(1, dtype=complex))
@@ -133,7 +123,6 @@ def cases():
     for label, T1, T2 in PAIRS:
         _, _, _, coll, split = build_pipeline(T1, T2)
         yield label, coll, split
-    yield ("pole-at-one", *pole_at_one())
 
 
 @pytest.mark.parametrize("n_theta", [97, 128])
@@ -142,22 +131,25 @@ def test_boundary_samples_and_scan_match_the_loops(n_theta):
         got = av.boundary_samples(coll, split, n_theta)
         want = ref_boundary_samples(coll, split, n_theta)
         assert sample_to_csv(got) == sample_to_csv(want), label
-        assert got.skipped_thetas == want.skipped_thetas, label
         scan = av.boundary_scan(av.adjoint_transfer(coll), n_theta)
-        thetas, smin, smax, skipped = ref_boundary_scan(av.adjoint_transfer(coll), n_theta)
+        thetas, smin, smax = ref_boundary_scan(av.adjoint_transfer(coll), n_theta)
         np.testing.assert_array_equal(scan.thetas, thetas, err_msg=label)
         np.testing.assert_array_equal(scan.sigma_min, smin, err_msg=label)
         np.testing.assert_array_equal(scan.sigma_max, smax, err_msg=label)
-        assert scan.skipped == skipped, label
 
 
-def test_pole_at_one_is_skipped():
+def test_pole_at_one_raises():
+    # the converse of the no-pole theorem: a D with a unimodular eigenvalue
+    # makes every boundary evaluator raise at that point
     coll, split = pole_at_one()
-    assert av.boundary_samples(coll, split, 97).skipped_thetas == [0.0]
-    assert av.boundary_scan(av.adjoint_transfer(coll), 97).skipped == [0.0]
-    with pytest.raises(BoundaryPoleError) as info:
-        av.eval_tau(av.adjoint_transfer(coll), 1.0)
-    assert info.value.z == 1.0 and info.value.cond == np.inf
+    p = BivariatePolynomial(np.ones((2, 2)))
+    for evaluate in (lambda: av.eval_tau(av.adjoint_transfer(coll), 1.0),
+                     lambda: av.boundary_scan(av.adjoint_transfer(coll), 97),
+                     lambda: av.boundary_samples(coll, split, 97),
+                     lambda: sup_on_variety(p, coll, split, 97)):
+        with pytest.raises(NumericError, match="resolvent numerically singular") as info:
+            evaluate()
+        assert info.value.details == {"z": 1.0, "cond": np.inf}
 
 
 @pytest.mark.parametrize("n_theta", [97, 720])
@@ -166,9 +158,8 @@ def test_sup_on_variety_matches_the_loop(n_theta):
     for label, coll, split in cases():
         p = BivariatePolynomial(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         got = sup_on_variety(p, coll, split, n_theta)
-        value, skipped = ref_sup_on_variety(p, coll, split, n_theta)
+        value = ref_sup_on_variety(p, coll, split, n_theta)
         assert abs(got.value - value) <= 1e-12 * max(1.0, value), label
-        assert got.skipped == skipped, label
 
 
 def test_symmetry_residual_matches_the_loop():

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
+from andovar import serialize
+from andovar.cli import main
 from andovar.dilation import _SYMBOL_TOL
 from andovar.errors import InputError, PurityError
 from andovar.pair_analysis import GENERATOR_KINDS
@@ -194,6 +198,19 @@ class TestIntertwining:
         assert rep.res_z <= rep.bound_z + 1e-9
         assert rep.res_psi <= rep.bound_psi + 1e-9
 
+    def test_res_psi_computed_once_per_dilate(self, monkeypatch, capsys, tmp_path):
+        # r2 = 2 < n = 3, so only res_z and res_psi take norms of shape (rows, n)
+        path = tmp_path / "pair.json"
+        path.write_text(serialize.pair_to_json(np.diag([0.5, 0.3, 0.2]),
+                                               np.diag([1.0, 0.4, 0.1j])))
+        shapes = []
+        norm = mc.operator_norm
+        monkeypatch.setattr(mc, "operator_norm", lambda M: shapes.append(np.shape(M)) or norm(M))
+        assert main(["dilate", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert shapes.count((payload["rows"], 3)) == 2
+        assert payload["res_psi"] > 0.0
+
     @pytest.mark.parametrize("idx", range(4))
     def test_compressions_recover_the_pair(self, idx):
         kind, dim, T1, T2 = make_suite(4, dims=(2, 3), seed0=70, radius=0.75)[idx]
@@ -231,8 +248,10 @@ class TestMinimality:
         coll = av.Colligation(A=empty, B=empty, C=empty, D=empty,
                               basis1=np.zeros((2, 0), complex),
                               basis2=np.zeros((2, 0), complex))
+        pair = av.ContractionPair.create(np.eye(2), np.zeros((2, 2)))
         dil = av.TruncatedDilation(N=3, n=2, Pi=np.zeros((0, 2), complex), coll=coll,
-                                   tail_bound=0.0, tail_bound_prev=0.0, d1_norm=0.0)
+                                   pair=pair, tail_bound=0.0, tail_bound_prev=0.0,
+                                   d1_norm=0.0)
         assert av.minimality_defect(dil) == 0
 
     @pytest.mark.parametrize("idx", range(4))

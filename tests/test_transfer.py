@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
-from andovar.errors import BoundaryPoleError, InputError, ValidationError
+from andovar.errors import InputError, NumericError, ValidationError
+from andovar.pair_analysis import GENERATOR_KINDS
 from andovar.transfer import TransferFunction, circle_grid
 
 from conftest import build_pipeline, interior_points, make_suite
@@ -81,7 +82,7 @@ class TestEval:
         tf = TransferFunction(
             A=np.array([[0.0]], complex), B=np.zeros((1, 1), complex),
             C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex))
-        with pytest.raises(BoundaryPoleError):
+        with pytest.raises(NumericError):
             av.eval_tau(tf, 1.0)
 
 
@@ -204,8 +205,7 @@ class TestUnimodularEigenvalues:
         _, _, _, coll, _ = zero_pair_m2
         tau = TransferFunction(coll.A, coll.B, coll.C, coll.D)
         z = interior_points(10, seed=4, radius=0.98)
-        eigs, poles = av.eval_tau_many(tau, z, mc.eigvals)
-        assert not poles.any()
+        eigs = av.eval_tau_many(tau, z, mc.eigvals)
         max_mod = np.max(np.abs(eigs), axis=1)
         assert np.all(max_mod <= 1.0 - 1e-9)
         np.testing.assert_allclose(max_mod, np.abs(z), rtol=0, atol=1e-10)
@@ -218,8 +218,7 @@ class TestUnimodularEigenvalues:
         )
         split = av.canonical_split(psi.A)
         sub = av.cnu_part(psi, split)
-        eigs, poles = av.eval_tau_many(sub, [0.3], mc.eigvals)
-        assert not poles.any()
+        eigs = av.eval_tau_many(sub, [0.3], mc.eigvals)
         max_mod = np.max(np.abs(eigs))
         assert max_mod <= 1.0 - 1e-9 and max_mod <= 0.5 + 1e-12
 
@@ -228,8 +227,7 @@ class TestUnimodularEigenvalues:
         tf = random_colligation(3, 3, seed=200 + seed)
         if av.canonical_split(tf.A).k != 0:
             pytest.skip("random unitary corner happened to be unitary-reducing")
-        eigs, poles = av.eval_tau_many(tf, interior_points(50, seed=seed), mc.eigvals)
-        assert not poles.any()
+        eigs = av.eval_tau_many(tf, interior_points(50, seed=seed), mc.eigvals)
         assert np.all(np.max(np.abs(eigs), axis=1) <= 1.0 - 1e-12)
 
 
@@ -240,45 +238,58 @@ class TestBoundaryScan:
         _, _, _, coll, _ = build_pipeline(T1, T2)
         psi = av.adjoint_transfer(coll)
         scan = av.boundary_scan(psi, n_theta=180)
-        assert scan.skip_rate == 0.0
+        assert len(scan.thetas) == 180 and scan.skipped == []
         assert scan.max_deviation() <= 1e-6
 
-    def test_poles_skipped_and_reported(self):
-        tf = TransferFunction(
-            A=np.array([[0.0]], complex), B=np.zeros((1, 1), complex),
-            C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex))
-        scan = av.boundary_scan(tf, n_theta=8)
-        assert len(scan.skipped) >= 1
-        assert 0.0 in scan.skipped
 
-    def test_every_theta_skipped(self):
-        # the one grid point z = 1 is the pole of D = [[1]]
-        tf = TransferFunction(
-            A=np.array([[0.0]], complex), B=np.zeros((1, 1), complex),
-            C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex))
-        scan = av.boundary_scan(tf, n_theta=1)
-        assert scan.skipped == [0.0] and scan.skip_rate == 1.0
-        assert scan.sigma_min.shape == scan.sigma_max.shape == (0,)
-        deviation = scan.max_deviation()
-        assert type(deviation) is float and deviation == 0.0
+def no_pole_pairs():
+    """Pairs with T1 pure: the generator kinds at radii up to 1 - 1e-6, and
+    diagonal pairs whose T2 has entries 1, -1 or i (some with a unitary
+    part, so the variety has V0 sheets)."""
+    for kind in GENERATOR_KINDS:
+        for dim in (1, 2, 4, 8):
+            for radius in (0.9, 0.99, 0.999, 1 - 1e-4, 1 - 1e-6):
+                yield f"{kind}-{dim}-{radius}", *av.generate_pair(kind, dim, 0, radius=radius)
+    rng = np.random.default_rng(17)
+    for dim in (1, 2, 3, 4, 6):
+        for seed in range(3):
+            t1 = rng.uniform(0.0, 1 - 1e-6, dim) * np.exp(2j * np.pi * rng.uniform(size=dim))
+            t2 = rng.choice(np.array([1.0, -1.0, 1j, 0.5, -0.3j]), size=dim)
+            yield f"diag-{dim}-{seed}", np.diag(t1), np.diag(t2)
+
+
+class TestNoBoundaryPoles:
+    def test_pure_first_entry_leaves_no_pole_on_the_circle(self):
+        # the theorem of transfer._eval_chunk: rho(D) < 1 for a colligation
+        # of a pair with T1 pure, so no theta of the boundary grid raises
+        for label, T1, T2 in no_pole_pairs():
+            _, _, _, coll, split = build_pipeline(T1, T2)
+            assert np.max(np.abs(np.linalg.eigvals(coll.D)), initial=0.0) < 1.0, label
+            scan = av.boundary_scan(av.adjoint_transfer(coll), 720)
+            assert len(scan.thetas) == len(scan.sigma_min) == 720, label
+            assert len(av.boundary_samples(coll, split, 720).theta_grid) == 720, label
 
 
 def assert_matches_the_pole_rule(tf, z):
-    """eval_tau_many against the per-point cond rule: same mask, same
-    values, and each pole raising with the reference cond."""
-    want, conds = [], []
+    """eval_tau_many against the per-point cond rule: it raises at the first
+    pole, with the reference cond, iff the rule finds a pole, and returns
+    the same values otherwise; each pole raises from eval_tau too."""
+    want, poles = [], []
     for point in z:
         try:
             want.append(ref_eval_tau(tf, point))
-        except BoundaryPoleError as exc:
-            conds.append(exc.cond)
-    values, poles = av.eval_tau_many(tf, z, lambda v: v)
-    assert int(poles.sum()) == len(conds)
-    np.testing.assert_array_equal(values, np.array(want).reshape(values.shape))
-    for point, cond in zip(z[poles], conds):
-        with pytest.raises(BoundaryPoleError) as info:
-            av.eval_tau(tf, point)
-        assert info.value.cond == cond
+        except NumericError as exc:
+            poles.append(exc.details)
+    if poles:
+        with pytest.raises(NumericError) as info:
+            av.eval_tau_many(tf, z, lambda v: v)
+        assert info.value.details == poles[0]
+    else:
+        np.testing.assert_array_equal(av.eval_tau_many(tf, z, lambda v: v), np.array(want))
+    for details in poles:
+        with pytest.raises(NumericError) as info:
+            av.eval_tau(tf, details["z"])
+        assert info.value.details == details
 
 
 def near_pole_points(D):
@@ -309,9 +320,9 @@ class TestPoleScreen:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        values, poles = av.eval_tau_many(psi, circle_grid(720)[1], lambda v: v)
+        values = av.eval_tau_many(psi, circle_grid(720)[1], lambda v: v)
         assert stacked == []
-        assert values.shape == (720, psi.dim, psi.dim) and not poles.any()
+        assert values.shape == (720, psi.dim, psi.dim)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 14.0), st.integers(1, 5), st.booleans(), st.integers(0, 10**6))

@@ -9,7 +9,7 @@ import pytest
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.colligation import Colligation
-from andovar.errors import BoundaryPoleError, InputError, NumericError, PurityError
+from andovar.errors import InputError, NumericError, PurityError
 from andovar.vn import BivariatePolynomial, sup_on_variety
 
 from conftest import build_pipeline, interior_points, make_suite
@@ -19,8 +19,7 @@ from test_boundary_evaluator import ALL_V0, NEAR_POLE
 class TestFibers:
     def test_zero_pair_diagonal_fiber(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        values, poles = av.fibers(coll, split, 0.3)
-        assert not poles.any()
+        values = av.fibers(coll, split, 0.3)
         assert values.shape == (1, 2)
         assert split.k == 0  # every value is a V1 value
         assert np.all(np.abs(values - 0.3) <= 1e-12)
@@ -28,22 +27,20 @@ class TestFibers:
     def test_identity_second_entry_constant_fiber(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
         _, _, _, coll, split = build_pipeline(J, np.eye(2, dtype=complex))
-        values, poles = av.fibers(coll, split, [0.0, 0.4, -0.2 + 0.6j])
-        assert not poles.any()
+        values = av.fibers(coll, split, [0.0, 0.4, -0.2 + 0.6j])
         assert values.shape[1] == split.k  # every value is a V0 value
         assert np.all(np.abs(values - 1.0) <= 1e-12)
 
     def test_scalar_half_fiber_at_origin(self, scalar_half_pair):
         _, _, _, coll, split = scalar_half_pair
-        values, _ = av.fibers(coll, split, 0.0)
+        values = av.fibers(coll, split, 0.0)
         assert values.shape == (1, 1)
         assert abs(values[0, 0] - complex(coll.A.conj().T[0, 0])) <= 1e-14
 
     def test_fiber_cardinality_is_r1(self):
         for idx, (kind, dim, T1, T2) in enumerate(make_suite(6, seed0=10)):
             _, d1, _, coll, split = build_pipeline(T1, T2)
-            values, poles = av.fibers(coll, split, interior_points(5, seed=idx))
-            assert not poles.any()
+            values = av.fibers(coll, split, interior_points(5, seed=idx))
             assert values.shape == (5, d1.rank)
 
     def test_rejects_outside_disc(self, zero_pair_m2):
@@ -69,12 +66,12 @@ class TestFibers:
 class TestMembership:
     def test_on_fiber_point(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        values, _ = av.fibers(coll, split, 0.4)
+        values = av.fibers(coll, split, 0.4)
         assert np.min(np.abs(values - 0.4)) <= 1e-10
 
     def test_distance_to_diagonal(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        values, _ = av.fibers(coll, split, 0.3)
+        values = av.fibers(coll, split, 0.3)
         assert np.min(np.abs(values - 0.9)) == pytest.approx(0.6, abs=1e-10)
 
     @pytest.mark.parametrize("idx", range(5))
@@ -83,7 +80,7 @@ class TestMembership:
         _, _, _, coll, split = build_pipeline(T1, T2)
         psi = av.adjoint_transfer(coll)
         for z1 in interior_points(5, seed=idx):
-            values, _ = av.fibers(coll, split, z1)
+            values = av.fibers(coll, split, z1)
             for z2 in mc.eigvals(av.eval_tau(psi, z1)):
                 assert np.min(np.abs(values - z2)) <= 1e-8
 
@@ -105,7 +102,8 @@ class TestBoundary:
 
     def test_v0_only_variety_skips_no_theta(self):
         # U = diag(i, 1) is unitary with V0 sheets only; D = [[1]] is singular
-        # at theta = 0, but with no c.n.u. part nothing is evaluated there
+        # at theta = 0, but with no c.n.u. part nothing is evaluated there,
+        # so nothing raises
         coll = Colligation(A=np.array([[1j]]), B=np.zeros((1, 1), complex),
                            C=np.zeros((1, 1), complex), D=np.array([[1.0]], complex),
                            basis1=np.eye(1, dtype=complex), basis2=np.eye(1, dtype=complex))
@@ -122,7 +120,7 @@ class TestBoundary:
         kind, dim, T1, T2 = make_suite(6, seed0=30)[idx]
         _, _, _, coll, split = build_pipeline(T1, T2)
         sample = av.boundary_samples(coll, split, 90)
-        assert not sample.skipped_thetas
+        assert len(sample.theta_grid) == 90
         assert np.all(np.abs(np.abs(sample.values) - 1.0) <= 1e-6)
 
     @pytest.mark.parametrize("idx", range(4))
@@ -130,8 +128,7 @@ class TestBoundary:
         kind, dim, T1, T2 = make_suite(4, seed0=35)[idx]
         _, _, _, coll, split = build_pipeline(T1, T2)
         assert split.k == 0  # pure-pure pairs have no unitary sheet
-        values, poles = av.fibers(coll, split, interior_points(10, seed=idx, radius=0.9))
-        assert not poles.any()
+        values = av.fibers(coll, split, interior_points(10, seed=idx, radius=0.9))
         assert np.all(np.abs(values) < 1.0)
 
 
@@ -198,7 +195,7 @@ class TestJointEigenvalues:
                            basis1=np.eye(1, dtype=complex), basis2=np.eye(2, dtype=complex))
         split = av.canonical_split(mc.adjoint(coll.A))
         pair = av.ContractionPair.create([[lam1]], [[0.0]])
-        with pytest.raises(BoundaryPoleError):
+        with pytest.raises(NumericError, match="resolvent numerically singular"):
             av.joint_eig_membership(pair, coll, split)
 
     def test_unitary_t1_has_no_variety(self):
