@@ -16,11 +16,11 @@ diagonal pairs whose A* has one and two unimodular eigenvalues (k = 1, 2);
 and the near-pole pair of ROADMAP open item 1.  For each pair the outputs
 are the validation report, the colligation, the canonical split, the
 variety CSV and SVG and the boundary scan at 97 thetas, the Taylor
-symbols, the Schur and split residuals, the vn report, the joint
-eigenvalue membership, the series residuals and tail bounds, the symmetry
-residual, and the dilation with all its residuals.  Arrays are hashed with
-their dtype, shape and bytes and floats by ``float.hex``, so -0.0 and +0.0
-differ.  An output that raises is hashed as its exception type and message.
+symbols, the Schur and split residuals, the vn report, the defining
+polynomial of the variety, the series residuals and tail bounds, the
+symmetry residual, and the dilation with all its residuals.  Arrays are
+hashed with their dtype, shape and bytes and floats by ``float.hex``, so
+-0.0 and +0.0 differ.  An output that raises is hashed as its exception type and message.
 
 Each line reads ``<pair> <output> <first 16 hex digits>``.
 """
@@ -137,7 +137,7 @@ def _outputs(pair: av.ContractionPair, a: av.Analysis):
                                     for z in INTERIOR + BOUNDARY]),
         ("vn", lambda: serialize.dumps(
             av.vn_report(pair, POLY, n_theta=N_THETA, torus_grid=64).to_dict())),
-        ("joint_eig", lambda: av.joint_eig_membership(pair, a.coll, a.split)),
+        ("defining_polynomial", lambda: av.defining_polynomial(a.coll, a.split)),
         ("series.residuals", lambda: series().residuals),
         ("series.tail_bounds", lambda: series().tail_bounds),
         ("symmetry", lambda: av.symmetry_residual(pair, n_samples=4)),

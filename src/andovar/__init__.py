@@ -50,8 +50,8 @@ from .transfer import (
 from .variety import (
     VarietySample,
     boundary_samples,
+    defining_polynomial,
     fibers,
-    joint_eig_membership,
     symmetry_residual,
 )
 from .vn import (

@@ -117,7 +117,8 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
     have.  Therefore rho(D) < 1 and I - zD is invertible on the closed disc
     for every colligation of a pair with T1 pure, the condition that every
     evaluation on the circle must meet (``vn_report``, the variety
-    commands and ``symmetry_residual`` require it; Agler and McCarthy,
+    commands and ``defining_polynomial``, which ``symmetry_residual``
+    calls, require it; Agler and McCarthy,
     Distinguished varieties, Acta Math. 194 (2005): such a variety meets
     the boundary of the bidisc only in the torus).  A pole here is a
     numerical failure, or a colligation not built from such a pair.

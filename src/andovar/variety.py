@@ -6,8 +6,10 @@ c.n.u. transfer function).  Boundary fibers sit on the unit circle by
 innerness, and every boundary point has one: Psi of a pair with T1 pure
 has no resolvent pole on the closed disc (see ``transfer._eval_chunk``).
 Interior fibers of pure-pure pairs stay strictly inside the bidisc.
-Membership is measured by eigenvalue distance rather than raw determinant
-magnitude, which keeps tolerances dimension-stable.
+Clearing the denominator of det(z2 I - Psi(z1)) gives one polynomial q of
+bidegree (r2, r1) with the same zero set in the bidisc when T1 is pure
+(:func:`defining_polynomial`); the swap check compares the q of the pair
+and of the swapped pair, coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -35,16 +37,11 @@ __all__ = [
     "VarietySample",
     "fibers",
     "boundary_samples",
-    "joint_eig_membership",
+    "defining_polynomial",
     "symmetry_residual",
     "sample_to_csv",
     "sample_to_svg",
 ]
-
-_JOINT_EIG_SEED = 0x5EED
-# largest ||T* v - lambda v|| accepted for a joint eigenvector v
-_JOINT_EIG_VEC_TOL = 1e-8
-_SYMMETRY_SEED = 20260808
 
 
 @dataclass(frozen=True)
@@ -108,67 +105,63 @@ def boundary_samples(coll: Colligation, split: CanonicalSplit,
     return VarietySample(values=fibers(coll, split, z1), k=split.k, theta_grid=thetas)
 
 
-@dataclass(frozen=True)
-class JointEigReport:
-    """Joint eigenvalue pairs of (T1*, T2*) with their variety residuals."""
+def defining_polynomial(coll: Colligation, split: CanonicalSplit) -> np.ndarray:
+    """Coefficients of q(z1, z2) = det(I - z1 D*) prod_mu (z2 - mu).
 
-    entries: list        # (lambda1, lambda2, residual)
-    failures: int        # eigenvectors that failed joint verification
+    mu runs over the fiber over z1 (:func:`fibers`), so q(z1, .) is
+    det(I - z1 D*) det(z2 I - Psi(z1)) = det([[z2 I - A*, -z1 C*],
+    [-B*, I - z1 D*]]) by the Schur complement of the second block.  Entry
+    [j, k] of the returned (r2 + 1) x (r1 + 1) grid multiplies z1^j z2^k,
+    the convention of ``BivariatePolynomial``.  z1 appears in only the r2
+    columns of the second block and z2 in only the r1 rows of the first,
+    so q has degree at most r2 in z1 and r1 in z2, and its values on the
+    grid of (r2 + 1)-th by (r1 + 1)-th roots of unity determine it: one
+    ``fft2`` recovers the coefficients exactly, up to rounding.  At z1 = 0
+    the block determinant is det(z2 I - A*), so c[0, r1] = 1, and the sum
+    sum |c| is the scale against which a value of q is small.  On the
+    closed bidisc q vanishes exactly on the variety when T1 is pure:
+    rho(D) < 1 keeps det(I - z1 D*) away from 0 (see
+    ``transfer._eval_chunk``).  An empty first defect space raises
+    :class:`NumericError`, as in :func:`fibers`.
 
-
-def joint_eig_membership(pair: ContractionPair, coll: Colligation,
-                         split: CanonicalSplit) -> JointEigReport:
-    """Check that joint eigenvalues of (T1*, T2*) land on the variety.
-
-    Joint eigenvectors are found from a generic linear combination
-    T1* + mu T2* and verified against both factors; mu is redrawn at most
-    three times (deterministic seed) if verification fails.  The kept
-    pairs are measured against one :func:`fibers` call over their lambda1;
-    a pole there, or an empty variety (T1 unitary), raises
-    :class:`NumericError`.
+    Every joint eigenvalue (l1, l2) of (T1, T2) with |l1| < 1 lies on the
+    variety, because q(T1, T2) = 0.  By Cayley-Hamilton,
+    q(z, Psi(z)) = det(I - z D*) chi_{Psi(z)}(Psi(z)) = 0 for every z in
+    the disc, so the commuting multiplications M_z and M_Psi on the Hardy
+    space H^2 (x) C^r1 satisfy q(M_z, M_Psi) = 0.  The dilation embedding
+    Pi intertwines, Pi T1* = M_z* Pi and Pi T2* = M_Psi* Pi, hence
+    Pi q(T1, T2)* = q(M_z, M_Psi)* Pi = 0, and Pi is an isometry when T1 is
+    pure, so q(T1, T2) = 0.  A common eigenvector v of T1* and T2*, with
+    eigenvalues conj(l1) and conj(l2), then gives
+    0 = q(T1, T2)* v = conj(q(l1, l2)) v.
     """
-    T1s, T2s = mc.adjoint(pair.T1), mc.adjoint(pair.T2)
-    rng = np.random.default_rng(_JOINT_EIG_SEED)
-    best_failures, (lam1, lam2) = pair.dim, np.zeros((2, 0), complex)
-    for _ in range(3):
-        mu = complex(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
-        _, V = mc.eig(T1s + mu * T2s)
-        TV = np.stack([T1s @ V, T2s @ V])
-        quotients = np.sum(V.conj() * TV, axis=1)
-        residuals = np.linalg.norm(TV - quotients[:, None, :] * V, axis=1)
-        ok = np.all(residuals <= _JOINT_EIG_VEC_TOL, axis=0)
-        failures = int(np.sum(~ok))
-        if failures < best_failures:
-            best_failures, (lam1, lam2) = failures, quotients[:, ok].conj()
-        if failures == 0:
-            break
-    kept = (np.abs(lam1) < 1.0) & (np.abs(lam2) <= 1.0 + 1e-10)
-    lam1, lam2 = lam1[kept], lam2[kept]
-    res = np.min(np.abs(fibers(coll, split, lam1) - lam2[:, None]), axis=1)
-    return JointEigReport(entries=list(zip(lam1.tolist(), lam2.tolist(), res.tolist())),
-                          failures=best_failures)
+    _, z1 = circle_grid(coll.r2 + 1)
+    _, z2 = circle_grid(coll.r1 + 1)
+    mu = fibers(coll, split, z1)
+    det = np.linalg.det(np.eye(coll.r2) - z1[:, None, None] * mc.adjoint(coll.D))
+    values = det[:, None] * np.prod(z2[:, None] - mu[:, None, :], axis=2)
+    return np.fft.fft2(values, norm="forward")
 
 
 def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
     """Agreement of the variety with its swapped-pair counterpart.
 
-    Samples the fibers over random interior z1 and measures how far z1
-    sits from the fiber of the swapped pair over z2, in both swap
-    directions; returns the worst residual.  Requires both contractions
-    pure, the only case where the two constructions describe one variety.
+    With q12 the :func:`defining_polynomial` of the pair and q21 that of
+    (T2, T1), the swapped variety is the reflection of the first when
+    q12(z, w) = lambda q21(w, z) for a unimodular lambda; the two
+    normalisations fix lambda = c12[r2, 0] = (-1)^(r1 + r2) det U*.
+    lambda is fitted by least squares, and the residual
+    sum |c12 - lambda c21^T| / sum |c12| is returned.  Requires both
+    contractions pure, the only case where the two constructions describe
+    one variety.
     """
+    # n_samples is unused: perfbench/ passes it; it goes with ROADMAP item 5
     pair.require_pure(1, 2)
-    sides = (analyze(pair), analyze(ContractionPair.create(pair.T2, pair.T1, pair.tol)))
-    rng = np.random.default_rng(_SYMMETRY_SEED)
-    worst = 0.0
-    for forward, backward in (sides, sides[::-1]):
-        u = rng.uniform(size=(n_samples, 2))
-        z1 = 0.95 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-        z2 = fibers(forward.coll, forward.split, z1)
-        back = fibers(backward.coll, backward.split, z2.ravel())
-        dist = np.min(np.abs(back - np.repeat(z1, z2.shape[1])[:, None]), axis=1)
-        worst = max(worst, float(np.max(dist, initial=0.0)))
-    return worst
+    swapped = ContractionPair.create(pair.T2, pair.T1, pair.tol)
+    c12, c21 = (defining_polynomial(a.coll, a.split) for a in (analyze(pair), analyze(swapped)))
+    c21 = c21.T
+    inner = np.vdot(c21, c12)
+    return float(np.sum(np.abs(c12 - inner / abs(inner) * c21)) / np.sum(np.abs(c12)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
-"""Variety sampling: fibers, membership, boundary, joint eigenvalues,
-swap symmetry."""
+"""Variety sampling: fibers, membership, boundary, the defining polynomial
+and the joint eigenvalues it annihilates, swap symmetry."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.colligation import Colligation
 from andovar.errors import InputError, NumericError, PurityError
-from andovar.vn import BivariatePolynomial, sup_on_variety
+from andovar.pair_analysis import GENERATOR_KINDS
+from andovar.vn import BivariatePolynomial, eval_poly_pair, sup_on_variety
 
 from conftest import build_pipeline, interior_points, make_suite
-from test_boundary_evaluator import ALL_V0, NEAR_POLE
+from test_boundary_evaluator import ALL_V0, NEAR_POLE, PAIRS
 
 
 class TestFibers:
@@ -152,65 +154,98 @@ class TestFiberSolver:
         av.fibers(a.coll, a.split, interior_points(20, seed=1))
         # one circle point among interior ones keeps the general solver
         av.fibers(a.coll, a.split, np.append(interior_points(5, seed=2), 1.0))
-        av.symmetry_residual(pair, 4)
-        av.joint_eig_membership(pair, a.coll, a.split)
         assert not eigvalsh_calls
         av.fibers(a.coll, a.split, np.exp(1j * np.arange(5)))
         assert eigvalsh_calls
 
 
+def block_determinant(coll, z1, z2):
+    """det([[z2 I - A*, -z1 C*], [-B*, I - z1 D*]]) for the colligation U."""
+    A, B, C, D = (mc.adjoint(block) for block in (coll.A, coll.B, coll.C, coll.D))
+    return np.linalg.det(np.block([[z2 * np.eye(coll.r1) - A, -z1 * C],
+                                   [-B, np.eye(coll.r2) - z1 * D]]))
+
+
+def annihilation(T1, T2):
+    """(||q(T1, T2)||, sum |c|, the colligation, its split and q)."""
+    _, _, _, coll, split = build_pipeline(T1, T2)
+    c = av.defining_polynomial(coll, split)
+    q = BivariatePolynomial(c)
+    return mc.operator_norm(eval_poly_pair(q, T1, T2)), np.sum(np.abs(c)), coll, split, q
+
+
+def property_pair(kind, dim, seed):
+    """A generated pair, or for "unimodular-diag" a diagonal pair whose T2
+    has one unimodular entry, so the variety has a V0 sheet."""
+    if kind != "unimodular-diag":
+        return av.generate_pair(kind, dim, seed)
+    rng = np.random.default_rng(seed)
+    t1, t2 = (0.9 * np.sqrt(rng.uniform(size=(2, dim)))
+              * np.exp(2j * np.pi * rng.uniform(size=(2, dim))))
+    t2[0] = np.exp(2j * np.pi * rng.uniform())
+    return np.diag(t1), np.diag(t2)
+
+
+class TestDefiningPolynomial:
+    def test_matches_the_block_determinant(self):
+        rng = np.random.default_rng(7)
+        for label, T1, T2 in PAIRS:
+            _, _, _, coll, split = build_pipeline(T1, T2)
+            c = av.defining_polynomial(coll, split)
+            assert c.shape == (coll.r2 + 1, coll.r1 + 1), label
+            assert abs(c[0, coll.r1] - 1.0) <= 1e-13, label
+            z = np.sqrt(rng.uniform(size=(2, 6))) * np.exp(2j * np.pi * rng.uniform(size=(2, 6)))
+            want = [block_determinant(coll, z1, z2) for z1, z2 in z.T]
+            got = BivariatePolynomial(c)(*z)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(c)), label
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([*GENERATOR_KINDS, "unimodular-diag"]),
+           dim=st.integers(1, 4), seed=st.integers(0, 10_000))
+    def test_annihilates_the_pair_and_the_boundary_samples(self, kind, dim, seed):
+        norm, scale, coll, split, q = annihilation(*property_pair(kind, dim, seed))
+        assert norm <= 1e-12 * scale
+        sample = av.boundary_samples(coll, split, 64)
+        z1 = np.exp(1j * sample.theta_grid)[:, None]
+        assert np.max(np.abs(q(z1, sample.values))) <= 1e-12 * scale
+
+
 class TestJointEigenvalues:
+    """The joint eigenvalues lie on the variety because q(T1, T2) = 0 (see
+    :func:`variety.defining_polynomial`)."""
+
     def test_explicit_diagonal_pair(self):
         T1 = np.diag([0.3, 0.4]).astype(complex)
         T2 = np.diag([0.2, -0.5]).astype(complex)
-        pair, d1, d2, coll, split = build_pipeline(T1, T2)
-        rep = av.joint_eig_membership(pair, coll, split)
-        assert rep.failures == 0
-        got = {(round(l1.real, 8), round(l2.real, 8)) for l1, l2, _ in rep.entries}
-        assert got == {(0.3, 0.2), (0.4, -0.5)}
-        assert all(res <= 1e-8 for _, _, res in rep.entries)
+        norm, scale, _, _, q = annihilation(T1, T2)
+        assert norm <= 1e-12 * scale
+        assert np.all(np.abs(q([0.3, 0.4], [0.2, -0.5])) <= 1e-12 * scale)
 
     def test_zero_pair_origin(self, zero_pair_m2):
-        pair, _, _, coll, split = zero_pair_m2
-        rep = av.joint_eig_membership(pair, coll, split)
-        assert rep.failures == 0
-        assert all(res <= 1e-10 for _, _, res in rep.entries)
+        _, _, _, coll, split = zero_pair_m2
+        c = av.defining_polynomial(coll, split)
+        want = np.zeros((3, 3), complex)
+        want[0, 2], want[1, 1], want[2, 0] = 1.0, -2.0, 1.0  # (z2 - z1)^2
+        np.testing.assert_allclose(c, want, rtol=0, atol=1e-14)
 
     def test_identity_second_entry_boundary_pair(self):
         T1 = np.diag([0.5]).astype(complex)
-        pair, d1, d2, coll, split = build_pipeline(T1, np.eye(1, dtype=complex))
-        rep = av.joint_eig_membership(pair, coll, split)
-        assert rep.failures == 0
-        assert len(rep.entries) == 1
-        l1, l2, res = rep.entries[0]
-        assert (l1, l2) == pytest.approx((0.5, 1.0), abs=1e-12)
-        assert res <= 1e-10
-
-    def test_pole_at_a_joint_eigenvalue_raises(self):
-        # U is the permutation of e0 and e2, so Psi(z) = z; the resolvent of
-        # D = diag(1, 0) has cond 1/|1 - z|, past the pole limit at lambda1
-        lam1 = 1.0 - 1e-15
-        coll = Colligation(A=np.zeros((1, 1), complex), B=np.array([[0, 1]], complex),
-                           C=np.array([[0], [1]], complex), D=np.diag([1.0, 0.0]).astype(complex),
-                           basis1=np.eye(1, dtype=complex), basis2=np.eye(2, dtype=complex))
-        split = av.canonical_split(mc.adjoint(coll.A))
-        pair = av.ContractionPair.create([[lam1]], [[0.0]])
-        with pytest.raises(NumericError, match="resolvent numerically singular"):
-            av.joint_eig_membership(pair, coll, split)
+        norm, scale, coll, _, q = annihilation(T1, np.eye(1, dtype=complex))
+        assert coll.r2 == 0  # q is z2 - 1, constant in z1
+        assert norm <= 1e-12 * scale
+        assert np.all(np.abs(q(interior_points(5, seed=3), 1.0)) <= 1e-14)
 
     def test_unitary_t1_has_no_variety(self):
         T1 = np.diag(np.exp(1j * np.array([0.3, 1.1])))
-        pair, d1, d2, coll, split = build_pipeline(T1, 0.5 * np.eye(2, dtype=complex))
+        _, _, _, coll, split = build_pipeline(T1, 0.5 * np.eye(2, dtype=complex))
         with pytest.raises(NumericError, match="empty fiber"):
-            av.joint_eig_membership(pair, coll, split)
+            av.defining_polynomial(coll, split)
 
     @pytest.mark.parametrize("idx", range(8))
     def test_generated_pairs(self, idx):
         kind, dim, T1, T2 = make_suite(8, seed0=45)[idx]
-        pair, d1, d2, coll, split = build_pipeline(T1, T2)
-        rep = av.joint_eig_membership(pair, coll, split)
-        for _, _, res in rep.entries:
-            assert res <= 1e-7
+        norm, scale, _, _, _ = annihilation(T1, T2)
+        assert norm <= 1e-12 * scale
 
 
 class TestSymmetry:
