@@ -41,10 +41,7 @@ from .transfer import (
     boundary_scan,
     canonical_split,
     cnu_part,
-    eval_tau,
     eval_tau_many,
-    schur_identity_residual,
-    split_residual,
     taylor_symbols,
 )
 from .variety import (

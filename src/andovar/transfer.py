@@ -9,6 +9,11 @@ function
 
     Psi(z) = tau_{U*}(z) = A* + z C* (I - z D*)^{-1} B*.
 
+Transfer functions are evaluated only on the boundary grid
+``circle_grid(n)``, the n-th roots of unity (:func:`eval_tau_many`): Psi is
+unitary there, and a distinguished variety meets the boundary of the
+bidisc only in the torus.
+
 The canonical split separates the top-left block into its unitary part W
 and completely non-unitary part; the transfer function then decomposes as
 a constant unitary summand W plus the transfer function of the reduced
@@ -30,15 +35,11 @@ from .pair_analysis import DEFAULT_TOL, ContractionPair
 __all__ = [
     "TransferFunction",
     "adjoint_transfer",
-    "eval_tau",
     "eval_tau_many",
-    "schur_identity_residual",
     "CanonicalSplit",
     "canonical_split",
     "cnu_part",
-    "split_residual",
     "circle_grid",
-    "disc_points",
     "boundary_scan",
     "taylor_symbols",
     "Analysis",
@@ -47,9 +48,6 @@ __all__ = [
 
 # cond(I - zD) past which an evaluation raises NumericError (a pole)
 _COND_LIMIT = 1e14
-# how far past the unit circle a point may lie and still count as in the
-# closed disc (or on the circle): a few ulps of e^{i theta} are 1e-16
-_DISC_TOL = 1e-12
 # largest ||H0* M H1|| or ||H1* M H0|| accepted by canonical_split
 _OFFDIAG_TOL = 1e-8
 # points per stacked evaluation; stacking whole 720-point grids at dims
@@ -71,9 +69,11 @@ class TransferFunction:
         return self.A.shape[0]
 
     @functools.cached_property
-    def d_norm(self) -> float:
-        """||D||_2, for the pole screen of :func:`_eval_chunk`."""
-        return mc.operator_norm(self.D)
+    def pole_free(self) -> bool:
+        """Whether ||D||_2 alone certifies that no point of the closed disc
+        is a pole: the screen of :func:`_eval_chunk`."""
+        d = mc.operator_norm(self.D)
+        return d < 1.0 and (1.0 + d) / (1.0 - d) <= _COND_LIMIT / 100
 
 
 def adjoint_transfer(coll: Colligation) -> TransferFunction:
@@ -84,24 +84,26 @@ def adjoint_transfer(coll: Colligation) -> TransferFunction:
 
 
 def _eval_chunk(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
-    """tau at every point of z; NumericError at a resolvent pole.
+    """tau at every point of z, a chunk of ``circle_grid`` points from
+    :func:`eval_tau_many`, its one caller; NumericError at a resolvent pole.
 
     A point is a pole when the 2-norm condition number of I - z D is not
-    finite or exceeds ``_COND_LIMIT``; the values are formed as
-    A + (z B) S with S = (I - z D)^{-1} C, one stacked solve for the chunk.
+    finite or exceeds ``_COND_LIMIT``; the values are A + (z B) S with
+    S = (I - z D)^{-1} C, one stacked solve for the chunk.
 
-    Screen.  With a = |z| ||D||_2 < 1, Weyl's inequality for singular values
-    gives ``s_max(I - zD) <= 1 + a`` and ``s_min(I - zD) >= 1 - a``, so
-    ``cond(I - zD) <= (1 + a)/(1 - a)``.  A point whose bound is at most
-    ``_COND_LIMIT / 100`` is a certified non-pole; only the other points get
-    the stacked SVD of R = I - zD and the rule ``cond = s_max/s_min``.  The
-    computed singular values of R lie within O(k eps ||R||) of the exact
-    ones, with ||R|| <= 2, and the computed ||D||_2 has relative error
-    O(k eps) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., SIAM 2002, for both).  A screened point has
-    ``1 - a >= 2/(1 + 1e12)``, so the SVD rule would have read
-    ``cond <~ 1.01e12 < _COND_LIMIT`` there: the screen raises at exactly
-    the points the rule calls poles, with the rule's cond.
+    Screen.  With d = ||D||_2 < 1, Weyl's inequality for singular values
+    gives ``cond(I - zD) <= (1 + d)/(1 - d)`` for every |z| <= 1.  When that
+    bound is at most ``_COND_LIMIT / 100`` the function is certified
+    pole-free (``TransferFunction.pole_free``, one decision per function);
+    otherwise every point gets the stacked SVD of R = I - zD and the rule
+    ``cond = s_max/s_min``.  The computed singular values of R lie within
+    O(k eps ||R||) of the exact ones, with ||R|| <= 2, and the computed
+    ||D||_2 has relative error O(k eps) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., SIAM 2002, for both).  A screened
+    function has ``1 - d >= 2/(1 + 1e12)``, so the rule would read
+    ``cond <~ 1.01e12 < _COND_LIMIT`` at every point: the screen raises at
+    exactly the points the rule calls poles, with the rule's cond.  A
+    nilpotent Jordan block D has no pole but ||D||_2 = 1, so no screen.
 
     Why no caller meets a pole.  Let U = [[a, b], [c, d]] be the colligation
     that ``build_colligation`` returns for a pair whose T1 is pure; the
@@ -128,15 +130,12 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
     if k == 0:
         return np.repeat(tf.A[None], z.size, axis=0)
     R = np.eye(k) - z[:, None, None] * tf.D
-    a = np.abs(z) * tf.d_norm
-    cond = np.divide(1.0 + a, 1.0 - a, out=np.full(z.size, np.inf), where=a < 1.0)
-    rest = np.flatnonzero(cond > _COND_LIMIT / 100)
     try:
-        if rest.size:
-            s = np.linalg.svd(R[rest], compute_uv=False)
-            cond[rest] = np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf),
-                                   where=s[:, -1] > 0)
-            poles = rest[~(cond[rest] <= _COND_LIMIT)]
+        if not tf.pole_free:
+            s = np.linalg.svd(R, compute_uv=False)
+            cond = np.divide(s[:, 0], s[:, -1], out=np.full(z.size, np.inf),
+                             where=s[:, -1] > 0)
+            poles = np.flatnonzero(~(cond <= _COND_LIMIT))
             if poles.size:
                 z0, c0 = complex(z[poles[0]]), float(cond[poles[0]])
                 raise NumericError(f"resolvent numerically singular at z={z0} "
@@ -149,53 +148,28 @@ def _eval_chunk(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
     return tf.A + (z[:, None, None] * tf.B) @ S
 
 
-def disc_points(z) -> np.ndarray:
-    """z as a flat complex array; InputError unless every |z_i| <= 1
-    (within ``_DISC_TOL``).
-
-    A NaN point fails the test and is refused too.
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    r = np.abs(z)
-    if not np.all(r <= 1.0 + _DISC_TOL):
-        raise InputError("transfer function evaluated outside the closed disc: "
-                         f"|z|={np.max(r)}")
-    return z
+def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles 2 pi j / n_theta, j < n_theta, and the points e^{i theta}."""
+    if n_theta < 1:
+        raise InputError("n_theta must be >= 1")
+    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    return thetas, np.exp(1j * thetas)
 
 
-def eval_tau_many(tf: TransferFunction, z, reduce):
-    """Evaluate the transfer function at every point of z, |z_i| <= 1.
+def eval_tau_many(tf: TransferFunction, n_theta: int, reduce):
+    """Evaluate the transfer function at every point of ``circle_grid(n_theta)``.
 
     The points are taken in chunks of ``_EVAL_CHUNK``; ``reduce`` maps each
     chunk's stack of values, shape (m, dim, dim), to the rows the caller
-    keeps (eigenvalues, singular values, or the values themselves).  Points
-    where ``|z| ||D||_2`` keeps I - zD far from singular skip the pole SVD
-    (see :func:`_eval_chunk`); a pole raises :class:`NumericError`.
-    Returns the reduced rows of every point, in order.
+    keeps (eigenvalues, singular values, or the values themselves).  A
+    transfer function whose ||D||_2 rules out poles skips the pole SVD (see
+    :func:`_eval_chunk`); a pole raises :class:`NumericError` with
+    ``details`` z and cond, at the first pole of the grid.  Returns the
+    reduced rows of every point, in grid order.
     """
-    z = disc_points(z)
+    _, z = circle_grid(n_theta)
     return np.concatenate([reduce(_eval_chunk(tf, z[start:start + _EVAL_CHUNK]))
-                           for start in range(0, max(z.size, 1), _EVAL_CHUNK)])
-
-
-def eval_tau(tf: TransferFunction, z: complex) -> np.ndarray:
-    """Evaluate the transfer function at |z| <= 1; a resolvent pole raises
-    :class:`NumericError` with ``details`` z and cond (see :func:`_eval_chunk`)."""
-    return _eval_chunk(tf, disc_points(z))[0]
-
-
-def schur_identity_residual(tf: TransferFunction, z: complex) -> float:
-    """Residual of I - tau(z)* tau(z) = (1-|z|^2) C*(I-zbar D*)^{-1}(I-z D)^{-1} C."""
-    z = complex(z)
-    if abs(z) >= 1.0:
-        raise InputError("the isometry identity is an interior-point statement")
-    val = eval_tau(tf, z)
-    lhs = np.eye(tf.dim) - mc.adjoint(val) @ val
-    k = tf.D.shape[0]
-    inner = np.linalg.solve(np.eye(k) - z * tf.D, tf.C)
-    outer = np.linalg.solve(np.eye(k) - np.conj(z) * mc.adjoint(tf.D), inner)
-    rhs = (1.0 - abs(z) ** 2) * mc.adjoint(tf.C) @ outer
-    return mc.operator_norm(lhs - rhs)
+                           for start in range(0, n_theta, _EVAL_CHUNK)])
 
 
 @dataclass(frozen=True)
@@ -271,15 +245,6 @@ def cnu_part(tf: TransferFunction, split: CanonicalSplit) -> TransferFunction:
     )
 
 
-def split_residual(tf: TransferFunction, split: CanonicalSplit, z: complex) -> float:
-    """||tau(z) - (H0 W H0* + H1 tau_cnu(z) H1*)||; the block-diagonal law."""
-    full = eval_tau(tf, z)
-    sub = eval_tau(cnu_part(tf, split), z)
-    recomposed = (split.H0 @ split.W @ mc.adjoint(split.H0)
-                  + split.H1 @ sub @ mc.adjoint(split.H1))
-    return mc.operator_norm(full - recomposed)
-
-
 @dataclass(frozen=True)
 class BoundaryScan:
     thetas: np.ndarray
@@ -296,19 +261,11 @@ class BoundaryScan:
                          np.max(np.abs(self.sigma_max - 1.0), initial=0.0)))
 
 
-def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The angles 2 pi j / n_theta, j < n_theta, and the points e^{i theta}."""
-    if n_theta < 1:
-        raise InputError("n_theta must be >= 1")
-    thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    return thetas, np.exp(1j * thetas)
-
-
 def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
     """Singular-value sweep of tau(e^{i theta}) over a uniform grid; a
     resolvent pole raises :class:`NumericError` (see :func:`_eval_chunk`)."""
-    thetas, z = circle_grid(n_theta)
-    s = eval_tau_many(tf, z, lambda values: (
+    thetas, _ = circle_grid(n_theta)
+    s = eval_tau_many(tf, n_theta, lambda values: (
         np.linalg.svd(values, compute_uv=False) if tf.dim else np.ones((len(values), 1))))
     return BoundaryScan(thetas=thetas, sigma_min=s[:, -1], sigma_max=s[:, 0])
 

@@ -2,10 +2,11 @@
 
 The fiber over z1 splits into V0 points (the unimodular spectrum of the
 constant unitary part, independent of z1) and V1 points (eigenvalues of the
-c.n.u. transfer function).  Boundary fibers sit on the unit circle by
-innerness, and every boundary point has one: Psi of a pair with T1 pure
-has no resolvent pole on the closed disc (see ``transfer._eval_chunk``).
-Interior fibers of pure-pure pairs stay strictly inside the bidisc.
+c.n.u. transfer function).  Fibers are computed only over the boundary
+grid ``circle_grid(n)``: a distinguished variety meets the boundary of the
+bidisc only in the torus, so these fibers sit on the unit circle by
+innerness, and every grid point has one: Psi of a pair with T1 pure has no
+resolvent pole on the closed disc (see ``transfer._eval_chunk``).
 Clearing the denominator of det(z2 I - Psi(z1)) gives one polynomial q of
 bidegree (r2, r1) with the same zero set in the bidisc when T1 is pure
 (:func:`defining_polynomial`); the swap check compares the q of the pair
@@ -14,7 +15,7 @@ and of the swapped pair, coefficient by coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,13 +24,11 @@ from .colligation import Colligation
 from .errors import NumericError
 from .pair_analysis import ContractionPair
 from .transfer import (
-    _DISC_TOL,
     CanonicalSplit,
     adjoint_transfer,
     analyze,
     circle_grid,
     cnu_part,
-    disc_points,
     eval_tau_many,
 )
 
@@ -61,34 +60,28 @@ class VarietySample:
         return self.values.size
 
 
-def fibers(coll: Colligation, split: CanonicalSplit, z1) -> np.ndarray:
-    """Fiber values over each point of z1.
+def fibers(coll: Colligation, split: CanonicalSplit, n_theta: int) -> np.ndarray:
+    """Fiber values over each point z1 of ``circle_grid(n_theta)``.
 
-    Row i lists the V0 values ``split.lambdas``, then the ordered
-    eigenvalues of Psi_cnu at z1_i (the V1 values).  Every |z1_i| must be
-    at most 1.  A pole of Psi_cnu raises :class:`NumericError` (see
-    :func:`transfer._eval_chunk`: a colligation of a pair with T1 pure has
-    none on the closed disc); when Psi_cnu has dimension 0 nothing is
-    evaluated.
-
-    Psi_cnu is unitary on the circle, so when every |z1_i| is 1 within
-    ``_DISC_TOL`` its eigenvalues come from the Hermitian Cayley solve
+    Row j lists the V0 values ``split.lambdas``, then the ordered
+    eigenvalues of Psi_cnu at z1_j (the V1 values).  Psi_cnu is unitary on
+    the circle, so its eigenvalues come from the Hermitian Cayley solve
     :func:`matrix_core.unitary_eigvals`, which agrees with
     :func:`matrix_core.eigvals` within 1e-13 and puts every V1 value on
-    the circle to rounding.  Any other z1, interior points included, is
-    solved by :func:`matrix_core.eigvals`.
+    the circle to rounding.  A pole of Psi_cnu raises
+    :class:`NumericError` (see :func:`transfer._eval_chunk`: a colligation
+    of a pair with T1 pure has none on the closed disc); when Psi_cnu has
+    dimension 0 nothing is evaluated.
     """
     if coll.r1 == 0:
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
-    z1 = disc_points(z1)
     psi_cnu = cnu_part(adjoint_transfer(coll), split)
     # kept: with no V1 values there is nothing to evaluate, and the D of a
     # colligation not built from a pure T1 may have a pole on the circle
     if psi_cnu.dim:
-        on_circle = np.all(np.abs(np.abs(z1) - 1.0) <= _DISC_TOL)
-        v1 = eval_tau_many(psi_cnu, z1, mc.unitary_eigvals if on_circle else mc.eigvals)
+        v1 = eval_tau_many(psi_cnu, n_theta, mc.unitary_eigvals)
     else:
-        v1 = np.zeros((z1.size, 0), complex)
+        v1 = np.zeros((circle_grid(n_theta)[1].size, 0), complex)
     return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
 
 
@@ -97,12 +90,10 @@ def boundary_samples(coll: Colligation, split: CanonicalSplit,
     """Fibers over the unit circle, one per theta of ``circle_grid(n_theta)``.
 
     ``values`` is the :func:`fibers` array: each row lists its V0 points,
-    then its V1 points, each group ordered by (real, imag).  Every z1 is on
-    the circle, so the V1 points come from the Hermitian Cayley solve (see
-    :func:`fibers`).
+    then its V1 points, each group ordered by (real, imag).
     """
-    thetas, z1 = circle_grid(n_theta)
-    return VarietySample(values=fibers(coll, split, z1), k=split.k, theta_grid=thetas)
+    thetas, _ = circle_grid(n_theta)
+    return VarietySample(values=fibers(coll, split, n_theta), k=split.k, theta_grid=thetas)
 
 
 def defining_polynomial(coll: Colligation, split: CanonicalSplit) -> np.ndarray:
@@ -137,7 +128,7 @@ def defining_polynomial(coll: Colligation, split: CanonicalSplit) -> np.ndarray:
     """
     _, z1 = circle_grid(coll.r2 + 1)
     _, z2 = circle_grid(coll.r1 + 1)
-    mu = fibers(coll, split, z1)
+    mu = fibers(coll, split, coll.r2 + 1)
     det = np.linalg.det(np.eye(coll.r2) - z1[:, None, None] * mc.adjoint(coll.D))
     values = det[:, None] * np.prod(z2[:, None] - mu[:, None, :], axis=2)
     return np.fft.fft2(values, norm="forward")
@@ -153,11 +144,16 @@ def symmetry_residual(pair: ContractionPair, n_samples: int = 16) -> float:
     lambda is fitted by least squares, and the residual
     sum |c12 - lambda c21^T| / sum |c12| is returned.  Requires both
     contractions pure, the only case where the two constructions describe
-    one variety.
+    one variety.  The swapped pair is built from ``pair.report`` with its
+    per-entry fields reversed, so the pair is not validated again.
     """
     # n_samples is unused: perfbench/ passes it; it goes with ROADMAP item 5
     pair.require_pure(1, 2)
-    swapped = ContractionPair.create(pair.T2, pair.T1, pair.tol)
+    r = pair.report
+    report = replace(r, norms=r.norms[::-1], spectral_radii=r.spectral_radii[::-1],
+                     pure=r.pure[::-1], defect_ranks=r.defect_ranks[::-1],
+                     defects=r.defects[::-1])
+    swapped = replace(pair, T1=pair.T2, T2=pair.T1, report=report)
     c12, c21 = (defining_polynomial(a.coll, a.split) for a in (analyze(pair), analyze(swapped)))
     c21 = c21.T
     inner = np.vdot(c21, c12)

@@ -131,7 +131,7 @@ def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
     resolvent pole of Psi_cnu raises :class:`NumericError`.
     """
     _, z1 = circle_grid(n_theta)
-    best = float(np.max(np.abs(p(z1[:, None], fibers(coll, split, z1)))))
+    best = float(np.max(np.abs(p(z1[:, None], fibers(coll, split, n_theta)))))
     slack = p.lipschitz_bound() * (2.0 * np.pi / n_theta) + 1e-9
     return SupEstimate(value=best, slack=slack, grid=n_theta)
 

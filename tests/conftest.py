@@ -2,7 +2,9 @@
 
 The pair suite cycles the three exact-commutation generators over a range
 of dimensions with deterministic seeds, so every test run sees the same
-population.
+population.  ``ref_eval_tau`` is the one per-point oracle of a transfer
+function: the library evaluates only on boundary grids, and every check
+at interior points goes through the oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ import numpy as np
 import pytest
 
 import andovar as av
+from andovar.errors import NumericError
 from andovar.pair_analysis import GENERATOR_KINDS
+
+COND_LIMIT = 1e14
 
 
 def make_suite(count: int, dims=(2, 3, 4, 5, 6, 7, 8), seed0: int = 0,
@@ -24,6 +29,21 @@ def make_suite(count: int, dims=(2, 3, 4, 5, 6, 7, 8), seed0: int = 0,
         T1, T2 = av.generate_pair(kind, dim, seed0 + i, radius=radius)
         out.append((kind, dim, T1, T2))
     return out
+
+
+def ref_eval_tau(tf, z):
+    """tau(z) at one point, with one condition-number SVD and one solve; a
+    point where cond(I - zD) is not finite or exceeds 1e14 raises
+    NumericError with ``details`` z and cond, the library's pole rule."""
+    z = complex(z)
+    k = tf.D.shape[0]
+    if k == 0:
+        return tf.A.copy()
+    R = np.eye(k) - z * tf.D
+    cond = np.linalg.cond(R)
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise NumericError("pole", z=z, cond=cond)
+    return tf.A + z * tf.B @ np.linalg.solve(R, tf.C)
 
 
 def build_pipeline(T1, T2):

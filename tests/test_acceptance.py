@@ -20,8 +20,11 @@ from andovar import serialize
 from andovar.cli import main as cli_main
 from andovar.vn import BivariatePolynomial, sup_on_bidisc, vn_report
 
-from conftest import build_pipeline, interior_points, make_suite, random_unit_vectors
+from conftest import (build_pipeline, interior_points, make_suite, random_unit_vectors,
+                      ref_eval_tau)
 from test_colligation import action_residuals
+from test_transfer import schur_residual, split_law_residual
+from test_variety import interior_fibers
 from test_vn import random_poly
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -59,7 +62,7 @@ def test_criterion_01_zero_pair_closed_form():
         assert mc.operator_norm(coll.matrix - target) <= 1e-12
         psi = av.adjoint_transfer(coll)
         for z in interior_points(20, seed=m, radius=0.99):
-            assert mc.operator_norm(av.eval_tau(psi, z) - z * np.eye(m)) <= 1e-12
+            assert mc.operator_norm(ref_eval_tau(psi, z) - z * np.eye(m)) <= 1e-12
         sample = av.boundary_samples(coll, split, 60)
         z1 = np.exp(1j * sample.theta_grid)
         assert np.all(np.abs(sample.values - z1[:, None]) <= 1e-10)
@@ -102,7 +105,7 @@ def test_criterion_04_schur_identity():
         points = interior_points(50, seed=6000 + idx)
         tf = psi if idx % 2 else tau
         for z in points:
-            assert av.schur_identity_residual(tf, z) <= 1e-9, (kind, dim, idx)
+            assert schur_residual(tf, z) <= 1e-9, (kind, dim, idx)
 
 
 @criterion(5, "boundary innerness of the multiplier")
@@ -154,7 +157,8 @@ def test_criterion_07_split_and_interior_spectra():
                    + split.H1 @ split.E_cnu @ mc.adjoint(split.H1))
         assert mc.operator_norm(rebuilt - Astar) <= 1e-9
         psi = av.adjoint_transfer(coll)
-        eigs = av.eval_tau_many(psi, interior_points(50, seed=7500 + idx), mc.eigvals)
+        eigs = np.array([mc.eigvals(ref_eval_tau(psi, z))
+                         for z in interior_points(50, seed=7500 + idx)])
         max_mod = np.max(np.abs(eigs), axis=1)
         assert np.all(max_mod <= 1.0 - 1e-12), (kind, dim, idx, max_mod.max())
     # unitary-direction instances exercise a nontrivial split
@@ -164,7 +168,7 @@ def test_criterion_07_split_and_interior_spectra():
         assert split.k == d1.rank
         psi = av.adjoint_transfer(coll)
         for z in interior_points(10, seed=dim):
-            assert av.split_residual(psi, split, z) <= 1e-9
+            assert split_law_residual(psi, split, z) <= 1e-9
 
 
 @criterion(8, "certified norm chain", budget=60.0)
@@ -188,7 +192,7 @@ def test_criterion_09_joint_eigenvalues():
         pair, d1, d2, coll, split = build_pipeline(T1, T2)
         # the pairs are diagonal: the joint eigenvalues are the diagonal entries
         lam1, lam2 = np.diag(T1), np.diag(T2)
-        dist = np.min(np.abs(av.fibers(coll, split, lam1) - lam2[:, None]), axis=1)
+        dist = np.min(np.abs(interior_fibers(coll, split, lam1) - lam2[:, None]), axis=1)
         assert np.all(dist <= 1e-7), idx
         c = av.defining_polynomial(coll, split)
         annihilation = mc.operator_norm(av.eval_poly_pair(BivariatePolynomial(c), T1, T2))

@@ -24,7 +24,9 @@ def test_all_names_resolve(name):
 
 
 @pytest.mark.parametrize("name", ["variety_fiber", "membership_residual",
-                                  "check_no_unimodular_eigs", "forward_transfer"])
+                                  "check_no_unimodular_eigs", "forward_transfer",
+                                  "eval_tau", "schur_identity_residual", "split_residual",
+                                  "disc_points", "_DISC_TOL"])
 def test_removed_wrappers_are_gone(name):
     assert not hasattr(av, name)
     for module in MODULES:
@@ -33,7 +35,7 @@ def test_removed_wrappers_are_gone(name):
 
 def test_transfer_function_has_no_eval_method():
     assert not hasattr(av.TransferFunction, "eval")
-    assert callable(av.eval_tau) and callable(av.fibers)
+    assert callable(av.eval_tau_many) and callable(av.fibers)
 
 
 def test_polynomial_has_no_to_dict():

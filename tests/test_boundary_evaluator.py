@@ -1,9 +1,9 @@
 """The batched boundary evaluator against the per-point loops it replaced.
 
 The reference functions below evaluate the transfer function one point at a
-time, with one condition-number SVD and one solve per point, exactly as the
-library did before its loops were stacked; a pole raises, as it does in the
-library.  At circle points they take the
+time with ``conftest.ref_eval_tau``: one condition-number SVD and one solve
+per point, exactly as the library did before its loops were stacked; a
+pole raises, as it does in the library.  At circle points they take the
 fiber eigenvalues from ``unitary_eigvals`` of the single value, as the
 library does for a whole chunk, and at interior points from ``eigvals``.
 The arithmetic is unchanged, so the outputs must agree bit for bit; only
@@ -21,27 +21,13 @@ import pytest
 import andovar as av
 import andovar.matrix_core as mc
 from andovar.colligation import Colligation
-from andovar.errors import InputError, NumericError
-from andovar.transfer import TransferFunction
+from andovar.errors import NumericError
 from andovar.variety import VarietySample, sample_to_csv
 from andovar.vn import BivariatePolynomial, sup_on_variety
 
-from conftest import build_pipeline, make_suite
+from conftest import build_pipeline, make_suite, ref_eval_tau
 
-COND_LIMIT = 1e14
 SYMMETRY_SEED = 20260808
-
-
-def ref_eval_tau(tf, z):
-    z = complex(z)
-    k = tf.D.shape[0]
-    if k == 0:
-        return tf.A.copy()
-    R = np.eye(k) - z * tf.D
-    cond = np.linalg.cond(R)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericError("pole", z=z, cond=cond)
-    return tf.A + z * tf.B @ np.linalg.solve(R, tf.C)
 
 
 def ref_boundary_scan(tf, n_theta):
@@ -145,7 +131,7 @@ def test_pole_at_one_raises():
     # makes every boundary evaluator raise at that point
     coll, split = pole_at_one()
     p = BivariatePolynomial(np.ones((2, 2)))
-    for evaluate in (lambda: av.eval_tau(av.adjoint_transfer(coll), 1.0),
+    for evaluate in (lambda: av.eval_tau_many(av.adjoint_transfer(coll), 97, lambda v: v),
                      lambda: av.boundary_scan(av.adjoint_transfer(coll), 97),
                      lambda: av.boundary_samples(coll, split, 97),
                      lambda: sup_on_variety(p, coll, split, 97)):
@@ -173,13 +159,6 @@ def test_symmetry_residual_matches_the_loop():
         pair = av.ContractionPair.create(T1, T2)
         assert ref_symmetry_residual(pair, 8) <= (1e-9 if label == "near-pole" else 1e-10), label
         assert av.symmetry_residual(pair, 8) <= 1e-10, label
-
-
-def test_eval_tau_many_rejects_points_outside_the_disc():
-    tf = TransferFunction(A=np.eye(1, dtype=complex), B=np.zeros((1, 1), complex),
-                          C=np.zeros((1, 1), complex), D=np.zeros((1, 1), complex))
-    with pytest.raises(InputError):
-        av.eval_tau_many(tf, [0.5, 1.1], mc.eigvals)
 
 
 def test_sup_on_variety_without_sheets_is_a_numeric_error():

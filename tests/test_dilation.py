@@ -16,7 +16,7 @@ from andovar.dilation import _SYMBOL_TOL
 from andovar.errors import InputError, PurityError
 from andovar.pair_analysis import GENERATOR_KINDS
 
-from conftest import build_pipeline, make_suite
+from conftest import build_pipeline, make_suite, ref_eval_tau
 
 
 def assemble_pi_oracle(T1, d1, N):
@@ -346,4 +346,4 @@ class TestAlgebra:
         total = sum(sym * z ** q for q, sym in enumerate(symbols))
         dnorm = mc.operator_norm(coll.D)
         tail = abs(z) ** (dil.N + 1) / max(1e-12, 1 - abs(z) * dnorm)
-        assert mc.operator_norm(total - av.eval_tau(psi, z)) <= tail + 1e-12
+        assert mc.operator_norm(total - ref_eval_tau(psi, z)) <= tail + 1e-12

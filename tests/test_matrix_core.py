@@ -10,7 +10,6 @@ import andovar as av
 import andovar.matrix_core as mc
 from andovar.errors import InputError
 from andovar.pair_analysis import GENERATOR_KINDS
-from andovar.transfer import circle_grid
 
 
 def _random_matrix(n, seed, hermitian=False, unitary=False):
@@ -325,7 +324,7 @@ class TestUnitaryEigvals:
                 a = av.analyze(av.ContractionPair.create(*av.generate_pair(kind, dim, dim)))
                 psi_cnu = av.cnu_part(a.psi, a.split)
                 assert psi_cnu.dim >= 4  # past the eigvals cutoff
-                values = av.eval_tau_many(psi_cnu, circle_grid(97)[1], lambda v: v)
+                values = av.eval_tau_many(psi_cnu, 97, lambda v: v)
                 _assert_matches_eigvals(values)
 
     def test_eigenvalue_at_the_first_pole(self, monkeypatch):

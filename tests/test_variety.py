@@ -1,5 +1,8 @@
 """Variety sampling: fibers, membership, boundary, the defining polynomial
-and the joint eigenvalues it annihilates, swap symmetry."""
+and the joint eigenvalues it annihilates, swap symmetry.
+
+The library computes fibers only over boundary grids; fibers over interior
+points come from ``interior_fibers``, built on ``conftest.ref_eval_tau``."""
 
 from __future__ import annotations
 
@@ -9,19 +12,28 @@ from hypothesis import given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
+from andovar import pair_analysis
 from andovar.colligation import Colligation
 from andovar.errors import InputError, NumericError, PurityError
 from andovar.pair_analysis import GENERATOR_KINDS
 from andovar.vn import BivariatePolynomial, eval_poly_pair, sup_on_variety
 
-from conftest import build_pipeline, interior_points, make_suite
+from conftest import build_pipeline, interior_points, make_suite, ref_eval_tau
 from test_boundary_evaluator import ALL_V0, NEAR_POLE, PAIRS
+
+
+def interior_fibers(coll, split, z1):
+    """Fiber rows over the points z1, as :func:`variety.fibers` lays them
+    out: the V0 values, then the eigenvalues of Psi_cnu(z1_i) by ``eigvals``."""
+    psi_cnu = av.cnu_part(av.adjoint_transfer(coll), split)
+    return np.array([np.concatenate([split.lambdas, mc.eigvals(ref_eval_tau(psi_cnu, z))])
+                     for z in np.atleast_1d(z1)])
 
 
 class TestFibers:
     def test_zero_pair_diagonal_fiber(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        values = av.fibers(coll, split, 0.3)
+        values = interior_fibers(coll, split, 0.3)
         assert values.shape == (1, 2)
         assert split.k == 0  # every value is a V1 value
         assert np.all(np.abs(values - 0.3) <= 1e-12)
@@ -29,51 +41,39 @@ class TestFibers:
     def test_identity_second_entry_constant_fiber(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
         _, _, _, coll, split = build_pipeline(J, np.eye(2, dtype=complex))
-        values = av.fibers(coll, split, [0.0, 0.4, -0.2 + 0.6j])
+        values = interior_fibers(coll, split, [0.0, 0.4, -0.2 + 0.6j])
         assert values.shape[1] == split.k  # every value is a V0 value
         assert np.all(np.abs(values - 1.0) <= 1e-12)
 
     def test_scalar_half_fiber_at_origin(self, scalar_half_pair):
         _, _, _, coll, split = scalar_half_pair
-        values = av.fibers(coll, split, 0.0)
+        values = interior_fibers(coll, split, 0.0)
         assert values.shape == (1, 1)
         assert abs(values[0, 0] - complex(coll.A.conj().T[0, 0])) <= 1e-14
 
     def test_fiber_cardinality_is_r1(self):
         for idx, (kind, dim, T1, T2) in enumerate(make_suite(6, seed0=10)):
             _, d1, _, coll, split = build_pipeline(T1, T2)
-            values = av.fibers(coll, split, interior_points(5, seed=idx))
+            values = interior_fibers(coll, split, interior_points(5, seed=idx))
             assert values.shape == (5, d1.rank)
+            assert av.fibers(coll, split, 5).shape == (5, d1.rank)
 
-    def test_rejects_outside_disc(self, zero_pair_m2):
-        _, _, _, coll, split = zero_pair_m2
-        with pytest.raises(InputError):
-            av.fibers(coll, split, 1.2)
-
-    def test_v0_only_variety_rejects_outside_disc(self):
-        # Psi_cnu has dimension 0, so nothing is evaluated at z1 = 5
-        J = np.array([[0, 0.5], [0, 0]], complex)
-        _, _, _, coll, split = build_pipeline(J, np.eye(2, dtype=complex))
-        assert split.k == coll.r1
-        with pytest.raises(InputError):
-            av.fibers(coll, split, [5.0])
-
-    def test_nan_points_are_refused(self):
-        _, _, _, coll, split = build_pipeline(*ALL_V0)
-        for z in ([np.nan], [0.5, np.nan]):
-            with pytest.raises(InputError):
-                av.fibers(coll, split, z)
+    def test_every_variety_refuses_an_empty_grid(self, zero_pair_m2):
+        # the V0-only variety evaluates nothing, and still checks the grid
+        for _, _, _, coll, split in (zero_pair_m2, build_pipeline(*ALL_V0)):
+            with pytest.raises(InputError, match="n_theta"):
+                av.fibers(coll, split, 0)
 
 
 class TestMembership:
     def test_on_fiber_point(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        values = av.fibers(coll, split, 0.4)
+        values = interior_fibers(coll, split, 0.4)
         assert np.min(np.abs(values - 0.4)) <= 1e-10
 
     def test_distance_to_diagonal(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
-        values = av.fibers(coll, split, 0.3)
+        values = interior_fibers(coll, split, 0.3)
         assert np.min(np.abs(values - 0.9)) == pytest.approx(0.6, abs=1e-10)
 
     @pytest.mark.parametrize("idx", range(5))
@@ -82,8 +82,8 @@ class TestMembership:
         _, _, _, coll, split = build_pipeline(T1, T2)
         psi = av.adjoint_transfer(coll)
         for z1 in interior_points(5, seed=idx):
-            values = av.fibers(coll, split, z1)
-            for z2 in mc.eigvals(av.eval_tau(psi, z1)):
+            values = interior_fibers(coll, split, z1)
+            for z2 in mc.eigvals(ref_eval_tau(psi, z1)):
                 assert np.min(np.abs(values - z2)) <= 1e-8
 
 
@@ -130,12 +130,12 @@ class TestBoundary:
         kind, dim, T1, T2 = make_suite(4, seed0=35)[idx]
         _, _, _, coll, split = build_pipeline(T1, T2)
         assert split.k == 0  # pure-pure pairs have no unitary sheet
-        values = av.fibers(coll, split, interior_points(10, seed=idx, radius=0.9))
+        values = interior_fibers(coll, split, interior_points(10, seed=idx, radius=0.9))
         assert np.all(np.abs(values) < 1.0)
 
 
 class TestFiberSolver:
-    """Circle fibers take the Hermitian Cayley solve; interior ones do not.
+    """Fibers, all over circle points, take the Hermitian Cayley solve.
     Its accuracy is tested in test_matrix_core, its batching against the
     per-point loop in test_boundary_evaluator."""
 
@@ -146,16 +146,12 @@ class TestFiberSolver:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
         return calls
 
-    def test_interior_points_never_call_eigvalsh(self, eigvalsh_calls):
+    def test_circle_points_call_eigvalsh(self, eigvalsh_calls):
         T1, T2 = av.generate_pair("triangular-commuting", 8, 3)
         pair = av.ContractionPair.create(T1, T2)
         a = av.analyze(pair)
         assert av.cnu_part(a.psi, a.split).dim >= 4
-        av.fibers(a.coll, a.split, interior_points(20, seed=1))
-        # one circle point among interior ones keeps the general solver
-        av.fibers(a.coll, a.split, np.append(interior_points(5, seed=2), 1.0))
-        assert not eigvalsh_calls
-        av.fibers(a.coll, a.split, np.exp(1j * np.arange(5)))
+        av.fibers(a.coll, a.split, 5)
         assert eigvalsh_calls
 
 
@@ -262,6 +258,15 @@ class TestSymmetry:
         T1, T2 = av.generate_pair("diag", 3, seed=2)
         pair = av.ContractionPair.create(T1, T2)
         assert av.symmetry_residual(pair, 8) <= 1e-8
+
+    def test_swapped_pair_is_not_validated_again(self, monkeypatch):
+        pair = av.ContractionPair.create(*av.generate_pair("diag", 3, seed=2))
+        calls = []
+        validate = pair_analysis.validate_pair
+        monkeypatch.setattr(pair_analysis, "validate_pair",
+                            lambda *args: calls.append(args) or validate(*args))
+        av.symmetry_residual(pair, 8)
+        assert len(calls) == 0
 
     def test_rejects_nonpure(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
