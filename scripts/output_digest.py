@@ -9,11 +9,13 @@ same population, and comparing them:
     PYTHONPATH=src python scripts/output_digest.py > digests.txt
     diff digests-before.txt digests.txt
 
-The population is 81 pairs: the three generator kinds at dims 1, 2, 3, 4,
+The population is 84 pairs: the three generator kinds at dims 1, 2, 3, 4,
 6, 8, 12 and 16 with seeds 0-2; the zero pairs at m = 1-3; a unitary T2
 (r2 = 0), a unitary T1 (r1 = 0) and both unitary (r1 = r2 = 0); two
 diagonal pairs whose A* has one and two unimodular eigenvalues (k = 1, 2);
-and the near-pole pair of ROADMAP open item 1.  For each pair the outputs
+the near-pole pair of ROADMAP open item 1; and three pure pairs with
+||T1|| = 1, whose Psi has a D-block of norm 1: the shifts T1 = J_n,
+T2 = J_n / 2 at n = 4 and 16, and T1 = (1 - 2e-8) (+) J_3, T2 = T1 / 2.  For each pair the outputs
 are the validation report, the colligation, the canonical split, the
 variety CSV and SVG and the boundary scan at 97 thetas, the Taylor
 symbols, the vn report, the defining polynomial of the variety, the series
@@ -59,6 +61,9 @@ def population() -> list[tuple[str, np.ndarray, np.ndarray]]:
          np.diag([np.exp(0.7j), np.exp(2.1j), 0.4, 0.1j])),
         ("near-pole", np.array([[0.001907 - 0.579179j]]), np.array([[0.274619 + 0.961444j]])),
     ]
+    pairs += [(f"shift-{n}", np.eye(n, k=1), 0.5 * np.eye(n, k=1)) for n in (4, 16)]
+    edge = np.diag([1 - 2e-8, 0.0, 0.0, 0.0]) + np.diag([0.0, 1.0, 1.0], k=1)
+    pairs.append(("edge-4", edge, 0.5 * edge))
     return pairs
 
 

@@ -3,7 +3,8 @@
 For U = [[A, B], [C, D]] unitary, tau_U(z) = A + z B (I - z D)^{-1} C is a
 rational matrix inner function: contractive on the disc and unitary on the
 circle.  When the colligation comes from a pair whose first entry is pure,
-I - z D is invertible on the whole closed disc (see :func:`_eval_chunk`).
+I - z D is invertible on the whole closed disc, and
+``TransferFunction.cond_bound`` certifies it once per function.
 The multiplier driving the dilation is the adjoint-direction transfer
 function
 
@@ -46,8 +47,10 @@ __all__ = [
     "analyze",
 ]
 
-# cond(I - zD) past which an evaluation raises NumericError (a pole)
-_COND_LIMIT = 1e14
+# bound on cond(I - zD) over the closed disc that certifies a transfer function
+_COND_LIMIT = 1e12
+# squarings of D that TransferFunction.cond_bound tries
+_SQUARINGS = 10
 # largest ||H0* M H1|| or ||H1* M H0|| accepted by canonical_split
 _OFFDIAG_TOL = 1e-8
 # points per stacked evaluation; stacking whole 720-point grids at dims
@@ -69,11 +72,56 @@ class TransferFunction:
         return self.A.shape[0]
 
     @functools.cached_property
-    def pole_free(self) -> bool:
-        """Whether ||D||_2 alone certifies that no point of the closed disc
-        is a pole: the screen of :func:`_eval_chunk`."""
+    def cond_bound(self) -> float:
+        """A bound on cond(I - zD) valid at every |z| <= 1; the function is
+        certified pole-free on the closed disc when it is at most
+        ``_COND_LIMIT`` (:func:`eval_tau_many` raises otherwise).
+
+        (I - zD) sum_{j<m} (zD)^j = I - (zD)^m, so for |z| <= 1
+        ``cond(I - zD) <= (1 + ||D||) S_m / (1 - ||D^m||)`` once
+        ||D^m|| < 1, where S_m bounds sum_{j<m} ||D^j||: S_1 = 1 and
+        S_2m <= (1 + ||D^m||) S_m.  At m = 1 this is Weyl's bound
+        (1 + d)/(1 - d), one norm, which clears every function whose
+        ||D||_2 < 1 is not within 2e-12 of 1; squaring D covers ||D||_2 = 1
+        with rho(D) < 1, such as a shift (one of dimension n needs about
+        log2(n) + 1 squarings).  The search takes m = 1, 2, 4, ... and stops
+        at the first bound at most the limit, once (1 + ||D||) S_m alone
+        passes it, or after ``_SQUARINGS`` squarings: each squaring doubles
+        the rounding error of the power, so the computed D^(2^i) drifts from
+        the exact one by about 2^i k eps, and past 2^10 that drift is no
+        longer small against the gap 1 - ||D^m|| the bound divides by.
+
+        Why no pair fails.  Let U = [[a, b], [c, d]] be the colligation that
+        ``build_colligation`` returns for a pair whose T1 is pure; the
+        D-block here is d (for tau_U) or d* (for Psi and its c.n.u. part).
+        Suppose d x = lambda x with |lambda| = 1 = ||x||.  U is unitary, so
+        ||U (0 (+) x)|| = 1 forces b x = 0; a unimodular eigenvector of a
+        contraction is one of its adjoint too, so d* x = conj(lambda) x, and
+        ||U* (0 (+) x)|| = 1 forces c* x = 0.  Hence
+        U* (0 (+) x) = conj(lambda) (0 (+) x), and pairing the forced action
+        U M_dom = M_ran with 0 (+) x gives <h, y> = lambda <h, T1 y> for
+        every h, where y = D2 E2 x is not 0 (E2 x is a unit vector of
+        ran D2).  So T1 y = lambda y: a unimodular eigenvalue, which a pure
+        T1 does not have.  Therefore rho(D) < 1, ||D^m|| -> 0 and the bound
+        is finite for every colligation of a pair with T1 pure, the
+        condition that every evaluation on the circle must meet
+        (``vn_report``, the variety commands and ``defining_polynomial``,
+        which ``symmetry_residual`` calls, require it; Agler and McCarthy,
+        Distinguished varieties, Acta Math. 194 (2005): such a variety
+        meets the boundary of the bidisc only in the torus).  A missing
+        certificate is a pair at the purity edge beyond the limit, or a
+        colligation not built from such a pair.
+        """
         d = mc.operator_norm(self.D)
-        return d < 1.0 and (1.0 + d) / (1.0 - d) <= _COND_LIMIT / 100
+        power, norm, partial = self.D, d, 1.0  # D^m, ||D^m|| and S_m at m = 1
+        for _ in range(_SQUARINGS):
+            if ((norm < 1.0 and (1.0 + d) * partial / (1.0 - norm) <= _COND_LIMIT)
+                    or (1.0 + d) * partial > _COND_LIMIT):
+                break
+            partial *= 1.0 + norm
+            power = power @ power
+            norm = mc.operator_norm(power)
+        return (1.0 + d) * partial / (1.0 - norm) if norm < 1.0 else np.inf
 
 
 def adjoint_transfer(coll: Colligation) -> TransferFunction:
@@ -81,71 +129,6 @@ def adjoint_transfer(coll: Colligation) -> TransferFunction:
     return TransferFunction(
         mc.adjoint(coll.A), mc.adjoint(coll.C), mc.adjoint(coll.B), mc.adjoint(coll.D)
     )
-
-
-def _eval_chunk(tf: TransferFunction, z: np.ndarray) -> np.ndarray:
-    """tau at every point of z, a chunk of ``circle_grid`` points from
-    :func:`eval_tau_many`, its one caller; NumericError at a resolvent pole.
-
-    A point is a pole when the 2-norm condition number of I - z D is not
-    finite or exceeds ``_COND_LIMIT``; the values are A + (z B) S with
-    S = (I - z D)^{-1} C, one stacked solve for the chunk.
-
-    Screen.  With d = ||D||_2 < 1, Weyl's inequality for singular values
-    gives ``cond(I - zD) <= (1 + d)/(1 - d)`` for every |z| <= 1.  When that
-    bound is at most ``_COND_LIMIT / 100`` the function is certified
-    pole-free (``TransferFunction.pole_free``, one decision per function);
-    otherwise every point gets the stacked SVD of R = I - zD and the rule
-    ``cond = s_max/s_min``.  The computed singular values of R lie within
-    O(k eps ||R||) of the exact ones, with ||R|| <= 2, and the computed
-    ||D||_2 has relative error O(k eps) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., SIAM 2002, for both).  A screened
-    function has ``1 - d >= 2/(1 + 1e12)``, so the rule would read
-    ``cond <~ 1.01e12 < _COND_LIMIT`` at every point: the screen raises at
-    exactly the points the rule calls poles, with the rule's cond.  A
-    nilpotent Jordan block D has no pole but ||D||_2 = 1, so no screen.
-
-    Why no caller meets a pole.  Let U = [[a, b], [c, d]] be the colligation
-    that ``build_colligation`` returns for a pair whose T1 is pure; the
-    D-block here is d (for tau_U) or d* (for Psi and its c.n.u. part).
-    Suppose d x = lambda x with |lambda| = 1 = ||x||.  U is unitary, so
-    ||U (0 (+) x)|| = 1 forces b x = 0; a unimodular eigenvector of a
-    contraction is one of its adjoint too, so d* x = conj(lambda) x, and
-    ||U* (0 (+) x)|| = 1 forces c* x = 0.  Hence
-    U* (0 (+) x) = conj(lambda) (0 (+) x), and pairing the forced action
-    U M_dom = M_ran with 0 (+) x gives <h, y> = lambda <h, T1 y> for every
-    h, where y = D2 E2 x is not 0 (E2 x is a unit vector of ran D2).  So
-    T1 y = lambda y: a unimodular eigenvalue, which a pure T1 does not
-    have.  Therefore rho(D) < 1 and I - zD is invertible on the closed disc
-    for every colligation of a pair with T1 pure, the condition that every
-    evaluation on the circle must meet (``vn_report``, the variety
-    commands and ``defining_polynomial``, which ``symmetry_residual``
-    calls, require it; Agler and McCarthy,
-    Distinguished varieties, Acta Math. 194 (2005): such a variety meets
-    the boundary of the bidisc only in the torus).  A pole here is a
-    numerical failure, or a colligation not built from such a pair.
-    """
-    k = tf.D.shape[0]
-    # kept: the general A + (zB) S would add +0.0 and turn -0.0 entries of A into +0.0
-    if k == 0:
-        return np.repeat(tf.A[None], z.size, axis=0)
-    R = np.eye(k) - z[:, None, None] * tf.D
-    try:
-        if not tf.pole_free:
-            s = np.linalg.svd(R, compute_uv=False)
-            cond = np.divide(s[:, 0], s[:, -1], out=np.full(z.size, np.inf),
-                             where=s[:, -1] > 0)
-            poles = np.flatnonzero(~(cond <= _COND_LIMIT))
-            if poles.size:
-                z0, c0 = complex(z[poles[0]]), float(cond[poles[0]])
-                raise NumericError(f"resolvent numerically singular at z={z0} "
-                                   f"(cond={c0:.3e})", z=z0, cond=c0)
-        # C[None] is a stack of one matrix; numpy < 2 reads a 2-d right-hand
-        # side against a 3-d stack as a stack of vectors
-        S = np.linalg.solve(R, tf.C[None])
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"resolvent evaluation failed: {exc}") from exc
-    return tf.A + (z[:, None, None] * tf.B) @ S
 
 
 def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,17 +142,37 @@ def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
 def eval_tau_many(tf: TransferFunction, n_theta: int, reduce):
     """Evaluate the transfer function at every point of ``circle_grid(n_theta)``.
 
-    The points are taken in chunks of ``_EVAL_CHUNK``; ``reduce`` maps each
-    chunk's stack of values, shape (m, dim, dim), to the rows the caller
-    keeps (eigenvalues, singular values, or the values themselves).  A
-    transfer function whose ||D||_2 rules out poles skips the pole SVD (see
-    :func:`_eval_chunk`); a pole raises :class:`NumericError` with
-    ``details`` z and cond, at the first pole of the grid.  Returns the
-    reduced rows of every point, in grid order.
+    The points are taken in chunks of ``_EVAL_CHUNK``, with one stacked
+    solve S = (I - z D)^{-1} C per chunk and the values A + (z B) S;
+    ``reduce`` maps each chunk's stack of values, shape (m, dim, dim), to
+    the rows the caller keeps (eigenvalues, singular values, or the values
+    themselves).  Returns the reduced rows of every point, in grid order.
+    A function whose ``TransferFunction.cond_bound`` exceeds ``_COND_LIMIT``
+    raises :class:`NumericError` with ``details`` cond_bound, before any
+    solve; a function of dimension 0 or without a D-block solves nothing
+    and needs no certificate.
     """
     _, z = circle_grid(n_theta)
-    return np.concatenate([reduce(_eval_chunk(tf, z[start:start + _EVAL_CHUNK]))
-                           for start in range(0, n_theta, _EVAL_CHUNK)])
+    k = tf.D.shape[0]
+    solve = bool(tf.dim and k)
+    if solve and not tf.cond_bound <= _COND_LIMIT:
+        raise NumericError(f"resolvent not certified invertible on the closed disc "
+                           f"(cond bound {tf.cond_bound:.3e})", cond_bound=tf.cond_bound)
+    rows = []
+    for start in range(0, n_theta, _EVAL_CHUNK):
+        zc = z[start:start + _EVAL_CHUNK, None, None]
+        if solve:
+            # C[None] is a stack of one matrix; numpy < 2 reads a 2-d right-hand
+            # side against a 3-d stack as a stack of vectors.  D[None] and
+            # B[None]: numpy rounds (1, 1, 1) * (1, 1), a one-point chunk of a
+            # 1 x 1 block, by another loop than every other chunk shape
+            S = np.linalg.solve(np.eye(k) - zc * tf.D[None], tf.C[None])
+            values = tf.A + (zc * tf.B[None]) @ S
+        else:
+            # the general A + (zB) S would add +0.0 and turn -0.0 entries of A into +0.0
+            values = np.repeat(tf.A[None], len(zc), axis=0)
+        rows.append(reduce(values))
+    return np.concatenate(rows)
 
 
 @dataclass(frozen=True)
@@ -263,7 +266,8 @@ class BoundaryScan:
 
 def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
     """Singular-value sweep of tau(e^{i theta}) over a uniform grid; a
-    resolvent pole raises :class:`NumericError` (see :func:`_eval_chunk`)."""
+    function without a pole certificate raises :class:`NumericError` (see
+    ``TransferFunction.cond_bound``)."""
     thetas, _ = circle_grid(n_theta)
     s = eval_tau_many(tf, n_theta, lambda values: (
         np.linalg.svd(values, compute_uv=False) if tf.dim else np.ones((len(values), 1))))

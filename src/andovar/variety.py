@@ -6,7 +6,7 @@ c.n.u. transfer function).  Fibers are computed only over the boundary
 grid ``circle_grid(n)``: a distinguished variety meets the boundary of the
 bidisc only in the torus, so these fibers sit on the unit circle by
 innerness, and every grid point has one: Psi of a pair with T1 pure has no
-resolvent pole on the closed disc (see ``transfer._eval_chunk``).
+resolvent pole on the closed disc (see ``TransferFunction.cond_bound``).
 Clearing the denominator of det(z2 I - Psi(z1)) gives one polynomial q of
 bidegree (r2, r1) with the same zero set in the bidisc when T1 is pure
 (:func:`defining_polynomial`); the swap check compares the q of the pair
@@ -68,20 +68,14 @@ def fibers(coll: Colligation, split: CanonicalSplit, n_theta: int) -> np.ndarray
     the circle, so its eigenvalues come from the Hermitian Cayley solve
     :func:`matrix_core.unitary_eigvals`, which agrees with
     :func:`matrix_core.eigvals` within 1e-13 and puts every V1 value on
-    the circle to rounding.  A pole of Psi_cnu raises
-    :class:`NumericError` (see :func:`transfer._eval_chunk`: a colligation
-    of a pair with T1 pure has none on the closed disc); when Psi_cnu has
+    the circle to rounding.  A Psi_cnu without a pole certificate raises
+    :class:`NumericError` (see ``TransferFunction.cond_bound``: a
+    colligation of a pair with T1 pure always has one); when Psi_cnu has
     dimension 0 nothing is evaluated.
     """
     if coll.r1 == 0:
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
-    psi_cnu = cnu_part(adjoint_transfer(coll), split)
-    # kept: with no V1 values there is nothing to evaluate, and the D of a
-    # colligation not built from a pure T1 may have a pole on the circle
-    if psi_cnu.dim:
-        v1 = eval_tau_many(psi_cnu, n_theta, mc.unitary_eigvals)
-    else:
-        v1 = np.zeros((circle_grid(n_theta)[1].size, 0), complex)
+    v1 = eval_tau_many(cnu_part(adjoint_transfer(coll), split), n_theta, mc.unitary_eigvals)
     return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
 
 
@@ -112,7 +106,7 @@ def defining_polynomial(coll: Colligation, split: CanonicalSplit) -> np.ndarray:
     sum |c| is the scale against which a value of q is small.  On the
     closed bidisc q vanishes exactly on the variety when T1 is pure:
     rho(D) < 1 keeps det(I - z1 D*) away from 0 (see
-    ``transfer._eval_chunk``).  An empty first defect space raises
+    ``TransferFunction.cond_bound``).  An empty first defect space raises
     :class:`NumericError`, as in :func:`fibers`.
 
     Every joint eigenvalue (l1, l2) of (T1, T2) with |l1| < 1 lies on the

@@ -128,7 +128,7 @@ def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
     come from one :func:`fibers` call on the grid, which solves the unitary
     Psi_cnu(e^{i theta}) by the Hermitian Cayley route of
     :func:`matrix_core.unitary_eigvals` (within 1e-13 of ``eigvals``).  A
-    resolvent pole of Psi_cnu raises :class:`NumericError`.
+    Psi_cnu without a pole certificate raises :class:`NumericError`.
     """
     _, z1 = circle_grid(n_theta)
     best = float(np.max(np.abs(p(z1[:, None], fibers(coll, split, n_theta)))))

@@ -34,7 +34,8 @@ def make_suite(count: int, dims=(2, 3, 4, 5, 6, 7, 8), seed0: int = 0,
 def ref_eval_tau(tf, z):
     """tau(z) at one point, with one condition-number SVD and one solve; a
     point where cond(I - zD) is not finite or exceeds 1e14 raises
-    NumericError with ``details`` z and cond, the library's pole rule."""
+    NumericError with ``details`` z and cond.  The library decides poles
+    once per function instead (``TransferFunction.cond_bound``)."""
     z = complex(z)
     k = tf.D.shape[0]
     if k == 0:

@@ -111,7 +111,7 @@ def test_criterion_04_schur_identity():
 @criterion(5, "boundary innerness of the multiplier")
 def test_criterion_05_innerness():
     # every theta is kept: Psi of a pair with T1 pure has no boundary pole,
-    # and a pole would raise NumericError
+    # and a function without a pole certificate would raise NumericError
     suite = make_suite(25, seed0=5000)
     for idx, (kind, dim, T1, T2) in enumerate(suite):
         _, _, _, coll, _ = build_pipeline(T1, T2)

@@ -128,16 +128,62 @@ def test_boundary_samples_and_scan_match_the_loops(n_theta):
 
 def test_pole_at_one_raises():
     # the converse of the no-pole theorem: a D with a unimodular eigenvalue
-    # makes every boundary evaluator raise at that point
+    # leaves Psi without a pole certificate, and every boundary evaluator
+    # refuses it
     coll, split = pole_at_one()
     p = BivariatePolynomial(np.ones((2, 2)))
     for evaluate in (lambda: av.eval_tau_many(av.adjoint_transfer(coll), 97, lambda v: v),
                      lambda: av.boundary_scan(av.adjoint_transfer(coll), 97),
                      lambda: av.boundary_samples(coll, split, 97),
                      lambda: sup_on_variety(p, coll, split, 97)):
-        with pytest.raises(NumericError, match="resolvent numerically singular") as info:
+        with pytest.raises(NumericError, match="resolvent not certified invertible") as info:
             evaluate()
-        assert info.value.details == {"z": 1.0, "cond": np.inf}
+        assert info.value.details == {"cond_bound": np.inf}
+
+
+def count_norms(monkeypatch):
+    """Record every ``matrix_core.operator_norm`` call."""
+    calls = []
+    norm = mc.operator_norm
+
+    def counting_norm(M):
+        calls.append(np.shape(M))
+        return norm(M)
+
+    monkeypatch.setattr(mc, "operator_norm", counting_norm)
+    return calls
+
+
+def test_the_weyl_bound_costs_one_norm(monkeypatch):
+    # every function of the population is cleared by (1 + d)/(1 - d) alone,
+    # so its certificate costs the one norm that the Weyl screen cost
+    functions = []
+    for label, coll, split in cases():
+        psi = av.adjoint_transfer(coll)
+        functions += [(label, tf) for tf in (psi, av.cnu_part(psi, split)) if tf.dim and tf.D.size]
+    assert any(label == "near-pole" for label, _ in functions)
+    calls = count_norms(monkeypatch)
+    for label, tf in functions:
+        d = np.linalg.norm(tf.D, 2)
+        assert d < 1.0 and (1.0 + d) / (1.0 - d) <= 1e12, label
+        calls.clear()
+        assert tf.cond_bound <= 1e12, label
+        assert len(calls) == 1, label
+
+
+def test_dimension_zero_needs_no_certificate(monkeypatch):
+    # Psi of a pair with T1 unitary (r1 = 0, with a unitary D-block) and
+    # Psi_cnu of a pair whose variety is all V0 solve nothing
+    t1_unitary = av.analyze(av.ContractionPair.create(np.diag([1j, -1.0]),
+                                                       np.diag([0.5, 0.2]))).psi
+    _, _, _, coll, split = build_pipeline(*ALL_V0)
+    all_v0 = av.cnu_part(av.adjoint_transfer(coll), split)
+    assert t1_unitary.D.shape == (2, 2) and all_v0.dim == 0
+    calls = count_norms(monkeypatch)
+    for tf in (t1_unitary, all_v0):
+        values = av.eval_tau_many(tf, 97, lambda v: v)
+        assert (values.shape, values.dtype) == ((97, 0, 0), np.complex128)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_theta", [97, 720])

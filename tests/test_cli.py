@@ -12,6 +12,11 @@ import andovar as av
 import andovar.dilation
 from andovar import serialize
 from andovar.cli import main
+from andovar.variety import sample_to_csv
+
+from conftest import build_pipeline
+from test_boundary_evaluator import ref_boundary_samples
+from test_transfer import count_stacked_svds
 
 
 def run(argv, capsys):
@@ -254,6 +259,32 @@ class TestVN:
         assert data["lhs"] == 0.0
         assert data["sup_variety"] <= 1e-12
         assert abs(data["sup_bidisc"] - 2.0) <= 1e-9
+
+
+# (1 - 2e-8) (+) J3: norm 1, and inside the default purity tolerance by 1e-8
+EDGE_T1 = np.diag([1 - 2e-8, 0.0, 0.0, 0.0]) + np.diag([0.0, 1.0, 1.0], k=1)
+NORM_ONE_PURE_PAIRS = {"shift-8": (np.eye(8, k=1), 0.5 * np.eye(8, k=1)),
+                       "edge-4": (EDGE_T1, 0.5 * EDGE_T1)}
+
+
+class TestNormOnePurePairs:
+    # ||T1|| = 1 gives Psi a D-block of norm 1, which Weyl's bound cannot
+    # certify; the squares of D do, so no grid point needs an SVD
+    @pytest.mark.parametrize("label", sorted(NORM_ONE_PURE_PAIRS))
+    def test_variety_and_vn_certify_without_svd(self, label, tmp_path, capsys, monkeypatch,
+                                                 poly_diff_file):
+        T1, T2 = NORM_ONE_PURE_PAIRS[label]
+        f = write_pair(tmp_path / "pair.json", T1, T2)
+        _, _, _, coll, split = build_pipeline(T1, T2)
+        assert np.linalg.norm(coll.D, 2) >= 1.0 - 1e-15
+        want = sample_to_csv(ref_boundary_samples(coll, split, 720))
+        stacked = count_stacked_svds(monkeypatch)
+        code, _, _ = run(["variety", f, "-o", str(tmp_path / "v.csv")], capsys)
+        assert code == 0
+        assert (tmp_path / "v.csv").read_text() == want
+        code, _, _ = run(["vn", f, poly_diff_file], capsys)
+        assert code == 0
+        assert stacked == []
 
 
 class TestDilate:

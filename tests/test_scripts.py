@@ -25,7 +25,7 @@ def test_witness_script_reproduces_the_committed_witness(capsys):
 def test_output_digest_is_deterministic():
     module = _load("output_digest")
     population = {label: (T1, T2) for label, T1, T2 in module.population()}
-    assert len(population) == 81
+    assert len(population) == 84
     for label in ("diag-2-0", "t2-unitary"):
         first = module.pair_digests(*population[label])
         assert first == module.pair_digests(*population[label])

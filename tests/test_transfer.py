@@ -273,8 +273,8 @@ def no_pole_pairs():
 
 class TestNoBoundaryPoles:
     def test_pure_first_entry_leaves_no_pole_on_the_circle(self):
-        # the theorem of transfer._eval_chunk: rho(D) < 1 for a colligation
-        # of a pair with T1 pure, so no theta of the boundary grid raises
+        # the theorem of TransferFunction.cond_bound: rho(D) < 1 for a
+        # colligation of a pair with T1 pure, so no boundary grid raises
         for label, T1, T2 in no_pole_pairs():
             _, _, _, coll, split = build_pipeline(T1, T2)
             assert np.max(np.abs(np.linalg.eigvals(coll.D)), initial=0.0) < 1.0, label
@@ -283,23 +283,35 @@ class TestNoBoundaryPoles:
             assert len(av.boundary_samples(coll, split, 720).theta_grid) == 720, label
 
 
-def assert_matches_the_pole_rule(tf, n_theta):
-    """eval_tau_many on ``circle_grid(n_theta)`` against the per-point cond
-    rule: it raises at the first pole, with the reference cond, iff the
-    rule finds a pole, and returns the same values otherwise."""
-    want, poles = [], []
-    for point in circle_grid(n_theta)[1]:
-        try:
-            want.append(ref_eval_tau(tf, point))
-        except NumericError as exc:
-            poles.append(exc.details)
-    if poles:
-        with pytest.raises(NumericError) as info:
-            av.eval_tau_many(tf, n_theta, lambda v: v)
-        assert info.value.details == poles[0]
-    else:
-        np.testing.assert_array_equal(av.eval_tau_many(tf, n_theta, lambda v: v),
-                                      np.array(want))
+def assert_certified_or_refused(tf, n_theta, seed):
+    """Either eval_tau_many refuses tf, before any solve, with a cond_bound
+    past 1e12, or cond_bound bounds cond(I - zD) at every point of
+    ``circle_grid(n_theta)`` and at 64 random interior points, and the grid
+    values equal the per-point oracle's bit for bit."""
+    try:
+        values = av.eval_tau_many(tf, n_theta, lambda v: v)
+    except NumericError as exc:
+        assert exc.details == {"cond_bound": tf.cond_bound}
+        assert tf.cond_bound > 1e12
+        return
+    grid = circle_grid(n_theta)[1]
+    z = np.concatenate([grid, interior_points(64, seed, radius=1.0)])
+    assert np.max(np.linalg.cond(np.eye(len(tf.D)) - z[:, None, None] * tf.D)) <= tf.cond_bound
+    np.testing.assert_array_equal(values, np.array([ref_eval_tau(tf, p) for p in grid]))
+
+
+def count_stacked_svds(monkeypatch):
+    """Record the leading size of every stacked (3-d) np.linalg.svd call."""
+    stacked = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return stacked
 
 
 class TestPoleScreen:
@@ -307,15 +319,7 @@ class TestPoleScreen:
         _, _, _, coll, _ = build_pipeline(*av.generate_pair("jordan-poly", 8, 11))
         psi = av.adjoint_transfer(coll)
         assert mc.operator_norm(psi.D) < 0.99
-        stacked = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                stacked.append(np.shape(a))
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        stacked = count_stacked_svds(monkeypatch)
         values = av.eval_tau_many(psi, 720, lambda v: v)
         assert stacked == []
         assert values.shape == (720, psi.dim, psi.dim)
@@ -323,8 +327,8 @@ class TestPoleScreen:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.0, 14.0), st.integers(1, 5), st.booleans(), st.integers(8, 128),
            st.integers(0, 10**6))
-    @example(14.0, 3, True, 97, 5)  # cond 1.97e14 at the grid point of the top pole
-    def test_screen_keeps_the_pole_rule(self, s, k, normal, n_theta, seed):
+    @example(14.0, 3, True, 97, 5)  # refused: the top eigenvalue sits 1e-14 inside the circle
+    def test_certificate_bounds_the_condition_number(self, s, k, normal, n_theta, seed):
         rng = np.random.default_rng(seed)
         G = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         if normal:  # spectral radius = norm puts the poles on the circle, at grid points
@@ -335,33 +339,26 @@ class TestPoleScreen:
         D = G * ((1.0 - 10.0 ** -s) / np.linalg.norm(G, 2))
         tf = TransferFunction(A=rng.normal(size=(2, 2)) + 0j, B=rng.normal(size=(2, k)) + 0j,
                               C=rng.normal(size=(k, 2)) + 0j, D=D)
-        assert_matches_the_pole_rule(tf, n_theta)
+        assert_certified_or_refused(tf, n_theta, seed)
 
-    def test_norm_one_pole_keeps_the_pole_rule(self):
+    def test_norm_one_pole_is_refused(self):
         psi = av.adjoint_transfer(pole_at_one()[0])
+        assert psi.cond_bound == np.inf
         for n_theta in (1, 3, 16, 97):
-            assert_matches_the_pole_rule(psi, n_theta)
+            assert_certified_or_refused(psi, n_theta, n_theta)
 
-    def test_unscreened_function_takes_the_svd(self, monkeypatch):
-        # a nilpotent Jordan block: ||D|| = 1, so the norm certifies nothing,
-        # but rho(D) = 0 and no grid point is a pole
+    def test_norm_one_shift_needs_no_svd(self, monkeypatch):
+        # a nilpotent Jordan block: ||D|| = 1, so Weyl's bound certifies
+        # nothing, but rho(D) = 0 and the squares of D certify the disc
         k = 4
         rng = np.random.default_rng(5)
         tf = TransferFunction(A=rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
                               B=rng.normal(size=(3, k)) + 0j, C=rng.normal(size=(k, 3)) + 0j,
                               D=np.eye(k, k, 1, dtype=complex))
-        assert mc.operator_norm(tf.D) == 1.0 and not tf.pole_free
-        stacked = []
-        svd = np.linalg.svd
-
-        def counting_svd(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                stacked.append(np.shape(a)[0])
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert mc.operator_norm(tf.D) == 1.0 and tf.cond_bound <= 1e12
+        stacked = count_stacked_svds(monkeypatch)
         values = av.eval_tau_many(tf, 97, lambda v: v)
-        assert sum(stacked) == 97
+        assert stacked == []
         want = [ref_eval_tau(tf, z) for z in circle_grid(97)[1]]
         np.testing.assert_array_equal(values, np.array(want))
 
