@@ -56,6 +56,12 @@ _OFFDIAG_TOL = 1e-8
 # points per stacked evaluation; stacking whole 720-point grids at dims
 # 16-32 raised peak RSS from 65 to 98 MB
 _EVAL_CHUNK = 64
+# most points of a boundary grid, and of a variety sample (grid points x r1):
+# sample_to_csv peaks near 430 bytes a sample point, 450 MB at 2^20 points
+_GRID_MAX = 1 << 20
+# largest cond_bound evaluated on cosets of more than one point; past it the
+# folded power D^m loses digits near the circle (see eval_tau_many)
+_COSET_COND_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -132,47 +138,117 @@ def adjoint_transfer(coll: Colligation) -> TransferFunction:
 
 
 def circle_grid(n_theta: int) -> tuple[np.ndarray, np.ndarray]:
-    """The angles 2 pi j / n_theta, j < n_theta, and the points e^{i theta}."""
+    """The angles 2 pi j / n_theta, j < n_theta, and the points e^{i theta};
+    a grid of more than ``_GRID_MAX`` points raises :class:`InputError`
+    before anything is allocated."""
     if n_theta < 1:
         raise InputError("n_theta must be >= 1")
+    if n_theta > _GRID_MAX:
+        raise InputError(f"n_theta {n_theta} exceeds the grid cap {_GRID_MAX}")
     thetas = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return thetas, np.exp(1j * thetas)
+
+
+def _coset_size(tf: TransferFunction, n_theta: int) -> int:
+    """Points per coset of :func:`eval_tau_many`: the largest divisor of
+    ``n_theta`` not above ``_EVAL_CHUNK``, or 1 when the certificate is
+    past ``_COSET_COND_MAX``."""
+    if not tf.cond_bound <= _COSET_COND_MAX:
+        return 1
+    return max(m for m in range(1, min(n_theta, _EVAL_CHUNK) + 1) if n_theta % m == 0)
 
 
 def eval_tau_many(tf: TransferFunction, n_theta: int, reduce):
     """Evaluate the transfer function at every point of ``circle_grid(n_theta)``.
 
-    The points are taken in chunks of ``_EVAL_CHUNK``, with one stacked
-    solve S = (I - z D)^{-1} C per chunk and the values A + (z B) S;
-    ``reduce`` maps each chunk's stack of values, shape (m, dim, dim), to
-    the rows the caller keeps (eigenvalues, singular values, or the values
-    themselves).  Returns the reduced rows of every point, in grid order.
-    A function whose ``TransferFunction.cond_bound`` exceeds ``_COND_LIMIT``
-    raises :class:`NumericError` with ``details`` cond_bound, before any
-    solve; a function of dimension 0 or without a D-block solves nothing
-    and needs no certificate.
+    ``reduce`` maps a stack of values, shape (points, dim, dim), to the
+    rows the caller keeps (eigenvalues, singular values, or the values
+    themselves); it sees at most ``_EVAL_CHUNK`` points at a time.  Returns
+    the reduced rows of every point, in grid order.  A function whose
+    ``TransferFunction.cond_bound`` exceeds ``_COND_LIMIT`` raises
+    :class:`NumericError` with ``details`` cond_bound, before any solve; a
+    function of dimension 0 or without a D-block solves nothing and needs
+    no certificate.
+
+    Cosets.  With w = e^{2 pi i / n} and m a divisor of n, the grid is the
+    union of the n / m cosets {w^t zeta : zeta^m = 1}, t < n / m.  On a
+    coset z^m = c_t = w^(t m) is constant, and the geometric series of the
+    resolvent folds exactly, with no truncation:
+
+        tau(z) = A + sum_{s<m} z^(s+1) B D^s S_t,   S_t = (I - c_t D^m)^{-1} C.
+
+    z^(s+1) = w^(t (s+1)) zeta^(s+1), so with the terms scaled by their
+    phases P_s = w^(t (s+1)) B D^s S_t, the m values of the coset are a
+    length-m inverse DFT of the P_s.  One coset therefore costs one k x k
+    solve, one (m p x k)(k x q) product with the ``power_stack`` of the
+    B D^s, built once per call, and one ``ifft``.  Every phase is read
+    from the grid by index, w^j = z[j mod n], not computed by powering.
+    The solves of up to ``_EVAL_CHUNK`` cosets are stacked, and the
+    products and transforms take whole cosets, at most ``_EVAL_CHUNK``
+    points at a time.  m is the largest divisor of n not above
+    ``_EVAL_CHUNK`` (:func:`_coset_size`); with m = 1 every point is its
+    own coset and the values are A + (z B) (I - z D)^{-1} C, bit for bit
+    the per-point solve.
+
+    Invertibility.  Since 1 / (1 - x^m) = (1/m) sum_{zeta^m = 1}
+    1 / (1 - zeta x), (I - c_t D^m)^{-1} is the mean of the resolvents
+    (I - z D)^{-1} over the m points z of the coset, each of norm at most
+    ``cond_bound``.  So the one certificate makes every coset solve
+    invertible too, with cond(I - c_t D^m) <= 2 cond_bound.
+
+    Error.  The computed D^m is off by about m k eps, which the solve
+    carries into S_t with a factor up to cond(I - c_t D^m); the product and
+    the transform add rounding of about m eps times the terms' size,
+    ||B|| ||C|| cond_bound.  On functions with cond_bound up to 1e4,
+    poles aligned with grid points among them, the coset values stayed
+    within 431 eps (1 + ||A|| + ||B|| ||C|| cond_bound) of a 40-digit
+    mpmath reference, where the per-point solve was off by up to 3 400
+    times that unit.  But D^m rounds away the gap 1 - |lambda|^m of an
+    eigenvalue lambda near the circle, so at the purity edge the coset
+    values lose digits the per-point solve keeps: on T1 = (1 - 2e-8) (+) J_3
+    (cond_bound 2e8) they were 2.0e-10 off the reference, the per-point
+    solve 2.6e-15.  Hence m = 1 whenever cond_bound exceeds
+    ``_COSET_COND_MAX``.
     """
     _, z = circle_grid(n_theta)
     k = tf.D.shape[0]
-    solve = bool(tf.dim and k)
-    if solve and not tf.cond_bound <= _COND_LIMIT:
+    if not (tf.dim and k):
+        # the general A + (zB) S would add +0.0 and turn -0.0 entries of A into +0.0
+        return np.concatenate([reduce(np.repeat(tf.A[None], len(z[lo:lo + _EVAL_CHUNK]), 0))
+                               for lo in range(0, n_theta, _EVAL_CHUNK)])
+    if not tf.cond_bound <= _COND_LIMIT:
         raise NumericError(f"resolvent not certified invertible on the closed disc "
                            f"(cond bound {tf.cond_bound:.3e})", cond_bound=tf.cond_bound)
-    rows = []
-    for start in range(0, n_theta, _EVAL_CHUNK):
-        zc = z[start:start + _EVAL_CHUNK, None, None]
-        if solve:
-            # C[None] is a stack of one matrix; numpy < 2 reads a 2-d right-hand
-            # side against a 3-d stack as a stack of vectors.  D[None] and
-            # B[None]: numpy rounds (1, 1, 1) * (1, 1), a one-point chunk of a
-            # 1 x 1 block, by another loop than every other chunk shape
-            S = np.linalg.solve(np.eye(k) - zc * tf.D[None], tf.C[None])
-            values = tf.A + (zc * tf.B[None]) @ S
-        else:
-            # the general A + (zB) S would add +0.0 and turn -0.0 entries of A into +0.0
-            values = np.repeat(tf.A[None], len(zc), axis=0)
-        rows.append(reduce(values))
-    return np.concatenate(rows)
+    m = _coset_size(tf, n_theta)
+    cosets, batch = n_theta // m, max(1, _EVAL_CHUNK // m)  # batch: cosets per product
+    p, q = tf.A.shape
+    # term u of a coset carries z^u for u >= 1 and z^m (the s = m - 1 term) for
+    # u = 0, where zeta^m = 1: the stack is rolled so that ifft needs no shift
+    terms = np.roll(mc.power_stack(tf.B, tf.D, m), 1, axis=0)
+    exponents = np.r_[m, 1:m]
+    phase = z[np.arange(cosets)[:, None] * exponents % n_theta]  # row t: w^(t u); [t, 0] = c_t
+    Dm = np.linalg.matrix_power(tf.D, m)
+    out = None
+    for lo in range(0, cosets, _EVAL_CHUNK):
+        # C[None] is a stack of one matrix; numpy < 2 reads a 2-d right-hand
+        # side against a 3-d stack as a stack of vectors.  Dm[None] and
+        # terms[None]: numpy rounds (1, 1, 1) * (1, 1), a one-point chunk of a
+        # 1 x 1 block, by another loop than every other chunk shape
+        S = np.linalg.solve(np.eye(k) - phase[lo:lo + _EVAL_CHUNK, :1, None] * Dm[None],
+                            tf.C[None])
+        for i in range(0, len(S), batch):
+            t = slice(lo + i, lo + min(i + batch, len(S)))
+            ph = phase[t, :, None, None]
+            P = ((ph * terms[None]).reshape(len(ph), m * p, k) @ S[i:i + batch]).reshape(
+                len(ph), m, p, q)
+            P[:, 0] += tf.A  # term 0 meets zeta^0 = 1 at every point of the coset
+            rows = reduce(np.fft.ifft(P, axis=1, norm="forward").reshape(len(ph) * m, p, q))
+            if out is None:
+                out = np.empty((n_theta, *rows.shape[1:]), rows.dtype)
+            # row r of coset t is grid point t + r n / m
+            out.reshape(m, cosets, *rows.shape[1:])[:, t] = (
+                rows.reshape(len(ph), m, *rows.shape[1:]).swapaxes(0, 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -268,10 +344,11 @@ def boundary_scan(tf: TransferFunction, n_theta: int = 720) -> BoundaryScan:
     """Singular-value sweep of tau(e^{i theta}) over a uniform grid; a
     function without a pole certificate raises :class:`NumericError` (see
     ``TransferFunction.cond_bound``)."""
-    thetas, _ = circle_grid(n_theta)
     s = eval_tau_many(tf, n_theta, lambda values: (
-        np.linalg.svd(values, compute_uv=False) if tf.dim else np.ones((len(values), 1))))
-    return BoundaryScan(thetas=thetas, sigma_min=s[:, -1], sigma_max=s[:, 0])
+        np.linalg.svd(values, compute_uv=False)[:, [-1, 0]] if tf.dim
+        else np.ones((len(values), 2))))
+    thetas, _ = circle_grid(n_theta)
+    return BoundaryScan(thetas=thetas, sigma_min=s[:, 0], sigma_max=s[:, 1])
 
 
 def taylor_symbols(tf: TransferFunction, count: int) -> list[np.ndarray]:

@@ -21,9 +21,10 @@ import numpy as np
 
 from . import matrix_core as mc
 from .colligation import Colligation
-from .errors import NumericError
+from .errors import InputError, NumericError
 from .pair_analysis import ContractionPair
 from .transfer import (
+    _GRID_MAX,
     CanonicalSplit,
     adjoint_transfer,
     analyze,
@@ -64,17 +65,26 @@ def fibers(coll: Colligation, split: CanonicalSplit, n_theta: int) -> np.ndarray
     """Fiber values over each point z1 of ``circle_grid(n_theta)``.
 
     Row j lists the V0 values ``split.lambdas``, then the ordered
-    eigenvalues of Psi_cnu at z1_j (the V1 values).  Psi_cnu is unitary on
-    the circle, so its eigenvalues come from the Hermitian Cayley solve
+    eigenvalues of Psi_cnu at z1_j (the V1 values).  The values of Psi_cnu
+    come from :func:`eval_tau_many`, which folds the grid into cosets of
+    roots of unity (one small solve, one product and one FFT per coset)
+    when the certificate allows it and solves point by point otherwise.
+    Psi_cnu is unitary on the circle, so its eigenvalues move by at most
+    the change in its values, and they come from the Hermitian Cayley solve
     :func:`matrix_core.unitary_eigvals`, which agrees with
     :func:`matrix_core.eigvals` within 1e-13 and puts every V1 value on
     the circle to rounding.  A Psi_cnu without a pole certificate raises
     :class:`NumericError` (see ``TransferFunction.cond_bound``: a
     colligation of a pair with T1 pure always has one); when Psi_cnu has
-    dimension 0 nothing is evaluated.
+    dimension 0 nothing is evaluated.  A sample of more than
+    ``transfer._GRID_MAX`` points (grid points times r1) raises
+    :class:`InputError` before anything is allocated.
     """
     if coll.r1 == 0:
         raise NumericError("empty fiber: the first defect space is trivial (T1 unitary)")
+    if n_theta * coll.r1 > _GRID_MAX:
+        raise InputError(f"{n_theta} thetas x {coll.r1} fiber points exceed the variety "
+                         f"sample cap {_GRID_MAX}")
     v1 = eval_tau_many(cnu_part(adjoint_transfer(coll), split), n_theta, mc.unitary_eigvals)
     return np.hstack([np.broadcast_to(split.lambdas, (len(v1), split.k)), v1])
 
@@ -86,8 +96,8 @@ def boundary_samples(coll: Colligation, split: CanonicalSplit,
     ``values`` is the :func:`fibers` array: each row lists its V0 points,
     then its V1 points, each group ordered by (real, imag).
     """
-    thetas, _ = circle_grid(n_theta)
-    return VarietySample(values=fibers(coll, split, n_theta), k=split.k, theta_grid=thetas)
+    values = fibers(coll, split, n_theta)
+    return VarietySample(values=values, k=split.k, theta_grid=circle_grid(n_theta)[0])
 
 
 def defining_polynomial(coll: Colligation, split: CanonicalSplit) -> np.ndarray:
@@ -169,13 +179,20 @@ def _fiber_rows(sample: VarietySample):
 def sample_to_csv(sample: VarietySample) -> str:
     """One row per point.  The ``residual`` column, the distance of a point
     to its own fiber, is 0 by construction; it stays for the file format.
-    The (theta, z1) fields are formatted once per fiber."""
-    lines = ["theta,re_z1,im_z1,re_z2,im_z2,kind,residual"]
-    for theta, z1, points in _fiber_rows(sample):
-        head = f"{theta:.12e},{z1.real:.12e},{z1.imag:.12e},"
-        lines.extend(f"{head}{z2.real:.12e},{z2.imag:.12e},{kind},0.000000000000e+00"
-                     for z2, kind in points)
-    return "\n".join(lines) + "\n"
+    Each fiber's rows come from one %-template: its (theta, z1) fields,
+    formatted once, joined between the per-point (z2, kind) templates."""
+    header = "theta,re_z1,im_z1,re_z2,im_z2,kind,residual\n"
+    kinds = ["V0"] * sample.k + ["V1"] * (sample.values.shape[1] - sample.k)
+    if not kinds:
+        return header
+    points = [f"%.12e,%.12e,{kind},0.000000000000e+00" for kind in kinds]
+    parts = np.ascontiguousarray(sample.values, complex).view(float).tolist()  # re, im, ...
+    lines = []
+    for theta, z1, fiber in zip(sample.theta_grid.tolist(),
+                                np.exp(1j * sample.theta_grid).tolist(), parts):
+        head = "%.12e,%.12e,%.12e," % (theta, z1.real, z1.imag)
+        lines.append((head + ("\n" + head).join(points)) % tuple(fiber))
+    return header + "\n".join(lines) + "\n"
 
 
 def _svg_color(theta: float) -> str:

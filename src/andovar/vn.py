@@ -40,6 +40,9 @@ DEFAULT_TORUS_GRID = 512
 # torus grid columns transformed at once: a chunk holds n_grid x 64 values,
 # so the torus sup never allocates an n_grid x n_grid array
 _TORUS_COLUMNS = 64
+# most complex entries the torus sup holds at once, (d1 + 1 + 64) n_grid:
+# 2^24 entries are 256 MiB
+_TORUS_ENTRIES_MAX = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,9 @@ def sup_on_variety(p: BivariatePolynomial, coll: Colligation,
     V1 contributes (e^{i theta}, eig(Psi_cnu(e^{i theta}))); V0 contributes
     (e^{i theta}, lambda) for lambda in sigma(W), the maximum principle
     having pushed the first coordinate of V0 to the circle.  The V1 values
-    come from one :func:`fibers` call on the grid, which solves the unitary
-    Psi_cnu(e^{i theta}) by the Hermitian Cayley route of
+    come from one :func:`fibers` call on the grid, which evaluates Psi_cnu
+    on cosets of roots of unity (:func:`transfer.eval_tau_many`) and
+    solves the unitary Psi_cnu(e^{i theta}) by the Hermitian Cayley route of
     :func:`matrix_core.unitary_eigvals` (within 1e-13 of ``eigvals``).  A
     Psi_cnu without a pole certificate raises :class:`NumericError`.
     """
@@ -160,10 +164,13 @@ def sup_on_bidisc(p: BivariatePolynomial, n_grid: int = DEFAULT_TORUS_GRID) -> S
     with both angles ``pi d_j/n <= pi/4`` on any accepted grid (Ehlich and
     Zeller, Math. Z. 86, 1964, for grid maxima of polynomials).  The slack is
     ``(factor - 1) * value``, plus 1e-9 for roundoff.
+
+    A grid too coarse for the degrees, or one whose row transforms and
+    column chunk, ``(d1 + 1 + 64) n_grid`` complex entries, exceed
+    ``_TORUS_ENTRIES_MAX`` raises :class:`InputError` before anything is
+    allocated.
     """
-    min_grid = 4 * (p.deg1 + p.deg2)
-    if n_grid < max(min_grid, 1):
-        raise InputError(f"torus grid {n_grid} too coarse; need >= {max(min_grid, 1)}")
+    _check_torus_grid(p, n_grid)
     rows = np.fft.ifft(p.coeffs, n_grid, axis=1, norm="forward")
     best = 0.0
     for k in range(0, n_grid, _TORUS_COLUMNS):
@@ -172,6 +179,16 @@ def sup_on_bidisc(p: BivariatePolynomial, n_grid: int = DEFAULT_TORUS_GRID) -> S
     factor = np.sqrt(1.0 / (np.cos(np.pi * p.deg1 / n_grid) * np.cos(np.pi * p.deg2 / n_grid)))
     slack = float((factor - 1.0) * best) + 1e-9
     return SupEstimate(value=best, slack=slack, grid=n_grid)
+
+
+def _check_torus_grid(p: BivariatePolynomial, n_grid: int) -> None:
+    min_grid = 4 * (p.deg1 + p.deg2)
+    if n_grid < max(min_grid, 1):
+        raise InputError(f"torus grid {n_grid} too coarse; need >= {max(min_grid, 1)}")
+    if (p.deg1 + 1 + _TORUS_COLUMNS) * n_grid > _TORUS_ENTRIES_MAX:
+        raise InputError(f"torus grid {n_grid} too fine for a polynomial of degree "
+                         f"{p.deg1} in z1: it needs {(p.deg1 + 1 + _TORUS_COLUMNS) * n_grid} "
+                         f"complex entries, more than {_TORUS_ENTRIES_MAX}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +231,10 @@ def vn_report(pair: ContractionPair, p: BivariatePolynomial,
     inequality's own sampling slack: the variety slack for the first, the
     torus slack for the second.  A violation beyond slack raises
     :class:`ChainViolationError` since the underlying inequality is exact.
-    The report's ``slack`` is the variety slack.
+    The report's ``slack`` is the variety slack.  A torus grid that
+    :func:`sup_on_bidisc` refuses is refused before any other work.
     """
+    _check_torus_grid(p, torus_grid)
     pair.require_pure(1)
     analysis = analyze(pair)
     lhs = mc.operator_norm(eval_poly_pair(p, pair.T1, pair.T2))

@@ -14,8 +14,8 @@ from andovar import serialize
 from andovar.cli import main
 from andovar.variety import sample_to_csv
 
-from conftest import build_pipeline
-from test_boundary_evaluator import ref_boundary_samples
+from conftest import build_pipeline, coset_value_bound
+from test_boundary_evaluator import EIG_SLACK, assert_fibers_match, folds, ref_boundary_samples
 from test_transfer import count_stacked_svds
 
 
@@ -277,11 +277,18 @@ class TestNormOnePurePairs:
         f = write_pair(tmp_path / "pair.json", T1, T2)
         _, _, _, coll, split = build_pipeline(T1, T2)
         assert np.linalg.norm(coll.D, 2) >= 1.0 - 1e-15
-        want = sample_to_csv(ref_boundary_samples(coll, split, 720))
+        got = av.boundary_samples(coll, split, 720)
+        want = ref_boundary_samples(coll, split, 720)
+        sub = av.cnu_part(av.adjoint_transfer(coll), split)
+        assert folds(sub, 720) == (label == "shift-8")
+        if folds(sub, 720):  # the shift: cond_bound 32, cosets of 60 points
+            assert_fibers_match(got.values, want.values, coset_value_bound(sub) + EIG_SLACK, label)
+        else:  # the purity edge: cond_bound 2e8, one point per coset
+            assert sample_to_csv(got) == sample_to_csv(want)
         stacked = count_stacked_svds(monkeypatch)
         code, _, _ = run(["variety", f, "-o", str(tmp_path / "v.csv")], capsys)
         assert code == 0
-        assert (tmp_path / "v.csv").read_text() == want
+        assert (tmp_path / "v.csv").read_text() == sample_to_csv(got)
         code, _, _ = run(["vn", f, poly_diff_file], capsys)
         assert code == 0
         assert stacked == []
@@ -364,6 +371,52 @@ class TestDilateDumpLimit:
         assert "2344 rows" in err
         assert not dump.exists()
         assert peak < 64 * 2**20
+
+
+def traced_peak(action):
+    """(result, peak traced bytes) of ``action()``."""
+    tracemalloc.start()
+    try:
+        result = action()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridCaps:
+    # grids past their byte caps exit 1 before the grid is allocated; no
+    # accepted grid of that size is ever run
+    @pytest.mark.parametrize("argv, message", [
+        (["vn", "{pair}", "{poly}", "--torus-grid", "100000000"], "torus grid 100000000 too fine"),
+        (["vn", "{pair}", "{poly}", "--theta-samples", "1000000000"], "exceeds the grid cap"),
+        (["variety", "{pair}", "--theta-samples", "1000000000"], "variety sample cap"),
+    ])
+    def test_huge_grid_exits_1_without_allocating(self, argv, message, zero_pair_file,
+                                                  poly_diff_file, capsys):
+        argv = [a.format(pair=zero_pair_file, poly=poly_diff_file) for a in argv]
+        (code, out, err), peak = traced_peak(lambda: run(argv, capsys))
+        assert (code, out) == (1, "")
+        assert message in err
+        assert peak < 2**20
+
+    def test_library_refusals_allocate_nothing(self):
+        from andovar.transfer import _GRID_MAX, circle_grid
+        from andovar.vn import _TORUS_ENTRIES_MAX, BivariatePolynomial, sup_on_bidisc
+        _, _, _, coll, split = build_pipeline(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert coll.r1 == 2
+        p = BivariatePolynomial(np.ones((3, 2)))  # (d1 + 1 + 64) n entries, d1 = 2
+        for refuse in (lambda: circle_grid(_GRID_MAX + 1),
+                       lambda: av.boundary_scan(av.adjoint_transfer(coll), _GRID_MAX + 1),
+                       lambda: av.boundary_samples(coll, split, _GRID_MAX // 2 + 1),
+                       lambda: sup_on_bidisc(p, _TORUS_ENTRIES_MAX // 67 + 1)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(av.InputError):
+                    refuse()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestGen:

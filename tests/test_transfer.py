@@ -3,7 +3,8 @@ boundary behavior.
 
 The library evaluates only on ``circle_grid``; the identities at interior
 points are checked on ``conftest.ref_eval_tau``, which the grid evaluator
-matches bit for bit (test_boundary_evaluator)."""
+matches bit for bit when it solves point by point and within
+``conftest.coset_value_bound`` when it folds cosets (TestCosets)."""
 
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ import andovar as av
 import andovar.matrix_core as mc
 from andovar.errors import NumericError, ValidationError
 from andovar.pair_analysis import GENERATOR_KINDS
-from andovar.transfer import TransferFunction, circle_grid
+from andovar.transfer import TransferFunction, _coset_size, circle_grid
 
-from conftest import build_pipeline, interior_points, make_suite, ref_eval_tau
+from conftest import (assert_grid_values, build_pipeline, interior_points, make_suite,
+                      ref_eval_tau)
 from test_boundary_evaluator import pole_at_one
 
 
@@ -287,7 +289,7 @@ def assert_certified_or_refused(tf, n_theta, seed):
     """Either eval_tau_many refuses tf, before any solve, with a cond_bound
     past 1e12, or cond_bound bounds cond(I - zD) at every point of
     ``circle_grid(n_theta)`` and at 64 random interior points, and the grid
-    values equal the per-point oracle's bit for bit."""
+    values match the per-point oracle (``conftest.assert_grid_values``)."""
     try:
         values = av.eval_tau_many(tf, n_theta, lambda v: v)
     except NumericError as exc:
@@ -297,7 +299,23 @@ def assert_certified_or_refused(tf, n_theta, seed):
     grid = circle_grid(n_theta)[1]
     z = np.concatenate([grid, interior_points(64, seed, radius=1.0)])
     assert np.max(np.linalg.cond(np.eye(len(tf.D)) - z[:, None, None] * tf.D)) <= tf.cond_bound
-    np.testing.assert_array_equal(values, np.array([ref_eval_tau(tf, p) for p in grid]))
+    assert_grid_values(tf, n_theta, values)
+
+
+def random_function(dim, k, s, normal, n_theta, seed):
+    """A real-block transfer function whose D has norm 1 - 10^-s; with
+    ``normal`` its eigenvalues point at grid points of ``circle_grid(n_theta)``,
+    so the poles nearest the circle face the grid."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    if normal:  # spectral radius = norm puts the poles on the circle, at grid points
+        Q = np.linalg.qr(G)[0]
+        lam = (rng.uniform(0.5, 1.0, k)
+               * np.exp(-2j * np.pi * rng.integers(n_theta, size=k) / n_theta))
+        G = Q @ np.diag(lam) @ Q.conj().T
+    D = G * ((1.0 - 10.0 ** -s) / np.linalg.norm(G, 2))
+    return TransferFunction(A=rng.normal(size=(dim, dim)) + 0j, B=rng.normal(size=(dim, k)) + 0j,
+                            C=rng.normal(size=(k, dim)) + 0j, D=D)
 
 
 def count_stacked_svds(monkeypatch):
@@ -329,16 +347,7 @@ class TestPoleScreen:
            st.integers(0, 10**6))
     @example(14.0, 3, True, 97, 5)  # refused: the top eigenvalue sits 1e-14 inside the circle
     def test_certificate_bounds_the_condition_number(self, s, k, normal, n_theta, seed):
-        rng = np.random.default_rng(seed)
-        G = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        if normal:  # spectral radius = norm puts the poles on the circle, at grid points
-            Q = np.linalg.qr(G)[0]
-            lam = (rng.uniform(0.5, 1.0, k)
-                   * np.exp(-2j * np.pi * rng.integers(n_theta, size=k) / n_theta))
-            G = Q @ np.diag(lam) @ Q.conj().T
-        D = G * ((1.0 - 10.0 ** -s) / np.linalg.norm(G, 2))
-        tf = TransferFunction(A=rng.normal(size=(2, 2)) + 0j, B=rng.normal(size=(2, k)) + 0j,
-                              C=rng.normal(size=(k, 2)) + 0j, D=D)
+        tf = random_function(2, k, s, normal, n_theta, seed)
         assert_certified_or_refused(tf, n_theta, seed)
 
     def test_norm_one_pole_is_refused(self):
@@ -361,6 +370,44 @@ class TestPoleScreen:
         assert stacked == []
         want = [ref_eval_tau(tf, z) for z in circle_grid(97)[1]]
         np.testing.assert_array_equal(values, np.array(want))
+
+
+PRIMES = (2, 3, 5, 7, 61, 67, 97, 127, 719, 797)
+POWERS_OF_TWO = tuple(2 ** j for j in range(10))
+
+
+class TestCosets:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(1, 800), st.sampled_from(PRIMES + POWERS_OF_TWO + (720,))),
+           st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 5.0), st.booleans(),
+           st.integers(0, 10**6))
+    @example(720, 6, 6, 3.6, True, 4)  # cond_bound 8e3, below _COSET_COND_MAX: cosets of 60
+    @example(720, 3, 4, 4.5, True, 2)  # cond_bound past it: one point per coset
+    @example(797, 4, 4, 1.0, False, 3)  # a prime grid: one point per coset
+    @example(335, 1, 1, 0.0, False, 0)  # 67 cosets of 5: the solve chunks end inside a batch
+    def test_coset_values_match_the_per_point_solve(self, n_theta, dim, k, s, normal, seed):
+        tf = random_function(dim, k, s, normal, n_theta, seed)
+        values = av.eval_tau_many(tf, n_theta, lambda v: v)
+        if n_theta in PRIMES and n_theta > 64:
+            assert _coset_size(tf, n_theta) == 1
+        assert_grid_values(tf, n_theta, values)
+
+    def test_one_stacked_solve_per_call(self, monkeypatch):
+        _, _, _, coll, _ = build_pipeline(*av.generate_pair("jordan-poly", 8, 11))
+        psi = av.adjoint_transfer(coll)
+        sizes = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            sizes.append(np.shape(a)[0] if np.ndim(a) == 3 else None)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        av.eval_tau_many(psi, 720, lambda v: v)
+        assert sizes == [12]  # 12 cosets of the 60th roots of unity
+        sizes.clear()
+        av.eval_tau_many(psi, 97, lambda v: v)
+        assert sizes == [64, 33]  # a prime grid: one point per coset, 64 per solve
 
 
 class TestTaylorSymbols:

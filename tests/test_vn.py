@@ -121,6 +121,15 @@ class TestSups:
         with pytest.raises(InputError):
             sup_on_bidisc(random_poly(4, seed=2), n_grid=8)
 
+    def test_torus_cap_counts_rows_and_chunk(self):
+        # only the check runs: no accepted grid near the cap is evaluated
+        p = BivariatePolynomial(np.ones((13, 13)))  # degree 12 in z1: 13 + 64 entries per point
+        largest = andovar.vn._TORUS_ENTRIES_MAX // 77
+        andovar.vn._check_torus_grid(p, largest)
+        andovar.vn._check_torus_grid(p, 4096)
+        with pytest.raises(InputError, match="too fine"):
+            andovar.vn._check_torus_grid(p, largest + 1)
+
     @pytest.mark.parametrize("degree", [0, 1, 4, 12])
     def test_bidisc_matches_horner(self, degree):
         column = BivariatePolynomial(random_poly(degree, seed=40 + degree).coeffs[:, :1])
