@@ -9,10 +9,11 @@ library does for a whole chunk, and at interior points from ``eigvals``.
 Where the library solves point by point (a prime grid such as 97, or a
 certificate past ``_COSET_COND_MAX``) the arithmetic is the loop's, so the
 outputs agree bit for bit.  Where it folds cosets (grids such as 128 and
-720) they agree within ``conftest.coset_value_bound`` of the values, and
-fibers are compared matched point to point per theta, since a move of
-1e-16 can swap two fibers with equal real parts in their (real, imag)
-order.  The variety sup, whose polynomial is evaluated on the whole grid
+720) they agree within ``conftest.coset_value_bound`` of the values, once
+``conftest.oracle_is_accurate`` has shown that the loops' values are
+accurate to well inside that bound; fibers are compared matched point to
+point per theta, since a move of 1e-16 can swap two fibers with equal
+real parts in their (real, imag) order.  The variety sup, whose polynomial is evaluated on the whole grid
 at once, is compared within 1e-12.  The swap-symmetry loop samples interior
 fibers, where the library compares the defining polynomials of the two
 varieties, so the two are held to one bound instead.
@@ -31,7 +32,8 @@ from andovar.transfer import _coset_size
 from andovar.variety import VarietySample, sample_to_csv
 from andovar.vn import BivariatePolynomial, sup_on_variety
 
-from conftest import build_pipeline, coset_value_bound, make_suite, ref_eval_tau
+from conftest import (build_pipeline, coset_value_bound, make_suite, oracle_is_accurate,
+                      ref_eval_tau)
 
 SYMMETRY_SEED = 20260808
 # two unitary_eigvals results of nearby unitaries, each within 1e-13 of
@@ -146,13 +148,16 @@ def test_boundary_samples_and_scan_match_the_loops(n_theta):
         thetas, smin, smax = ref_boundary_scan(psi, n_theta)
         np.testing.assert_array_equal(scan.thetas, thetas, err_msg=label)
         if folds(sub, n_theta):
+            assert oracle_is_accurate(sub, n_theta), label
             np.testing.assert_array_equal(got.theta_grid, want.theta_grid, err_msg=label)
             np.testing.assert_array_equal(got.values[:, :split.k], want.values[:, :split.k])
-            assert_fibers_match(got.values, want.values, coset_value_bound(sub) + EIG_SLACK, label)
+            bound = coset_value_bound(sub, n_theta).max() + EIG_SLACK
+            assert_fibers_match(got.values, want.values, bound, label)
         else:
             assert sample_to_csv(got) == sample_to_csv(want), label
         if folds(psi, n_theta):  # singular values move by at most the values (Weyl)
-            bound = coset_value_bound(psi) + EIG_SLACK
+            assert oracle_is_accurate(psi, n_theta), label
+            bound = coset_value_bound(psi, n_theta).max() + EIG_SLACK
             assert np.max(np.abs(scan.sigma_min - smin)) <= bound, label
             assert np.max(np.abs(scan.sigma_max - smax)) <= bound, label
         else:

@@ -14,7 +14,7 @@ from andovar import serialize
 from andovar.cli import main
 from andovar.variety import sample_to_csv
 
-from conftest import build_pipeline, coset_value_bound
+from conftest import EDGE_T1, build_pipeline, coset_value_bound, oracle_is_accurate
 from test_boundary_evaluator import EIG_SLACK, assert_fibers_match, folds, ref_boundary_samples
 from test_transfer import count_stacked_svds
 
@@ -261,8 +261,6 @@ class TestVN:
         assert abs(data["sup_bidisc"] - 2.0) <= 1e-9
 
 
-# (1 - 2e-8) (+) J3: norm 1, and inside the default purity tolerance by 1e-8
-EDGE_T1 = np.diag([1 - 2e-8, 0.0, 0.0, 0.0]) + np.diag([0.0, 1.0, 1.0], k=1)
 NORM_ONE_PURE_PAIRS = {"shift-8": (np.eye(8, k=1), 0.5 * np.eye(8, k=1)),
                        "edge-4": (EDGE_T1, 0.5 * EDGE_T1)}
 
@@ -282,7 +280,9 @@ class TestNormOnePurePairs:
         sub = av.cnu_part(av.adjoint_transfer(coll), split)
         assert folds(sub, 720) == (label == "shift-8")
         if folds(sub, 720):  # the shift: cond_bound 32, cosets of 60 points
-            assert_fibers_match(got.values, want.values, coset_value_bound(sub) + EIG_SLACK, label)
+            assert oracle_is_accurate(sub, 720)
+            bound = coset_value_bound(sub, 720).max() + EIG_SLACK
+            assert_fibers_match(got.values, want.values, bound, label)
         else:  # the purity edge: cond_bound 2e8, one point per coset
             assert sample_to_csv(got) == sample_to_csv(want)
         stacked = count_stacked_svds(monkeypatch)

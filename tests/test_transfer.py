@@ -16,10 +16,11 @@ import andovar as av
 import andovar.matrix_core as mc
 from andovar.errors import NumericError, ValidationError
 from andovar.pair_analysis import GENERATOR_KINDS
-from andovar.transfer import TransferFunction, _coset_size, circle_grid
+import andovar.transfer as transfer
+from andovar.transfer import _COSET_COND_MAX, TransferFunction, _coset_size, circle_grid
 
-from conftest import (assert_grid_values, build_pipeline, interior_points, make_suite,
-                      ref_eval_tau)
+from conftest import (EDGE_T1, assert_grid_values, build_pipeline, exact_eval_tau,
+                      interior_points, make_suite, ref_eval_tau)
 from test_boundary_evaluator import pole_at_one
 
 
@@ -391,6 +392,17 @@ class TestCosets:
         if n_theta in PRIMES and n_theta > 64:
             assert _coset_size(tf, n_theta) == 1
         assert_grid_values(tf, n_theta, values)
+
+    def test_the_purity_edge_keeps_one_point_per_coset(self, monkeypatch):
+        # the folded power D^60 rounds away the gap 1 - |lambda|^60 of the
+        # eigenvalue 1 - 2e-8, which the per-point solve keeps
+        psi = av.adjoint_transfer(build_pipeline(EDGE_T1, 0.5 * EDGE_T1)[3])
+        want = np.array([exact_eval_tau(psi, 720, j) for j in range(720)])
+        assert psi.cond_bound > _COSET_COND_MAX and _coset_size(psi, 720) == 1
+        assert np.max(np.abs(av.eval_tau_many(psi, 720, lambda v: v) - want)) <= 1e-14
+        monkeypatch.setattr(transfer, "_COSET_COND_MAX", np.inf)
+        assert _coset_size(psi, 720) == 60
+        assert np.max(np.abs(av.eval_tau_many(psi, 720, lambda v: v) - want)) >= 1e-11
 
     def test_one_stacked_solve_per_call(self, monkeypatch):
         _, _, _, coll, _ = build_pipeline(*av.generate_pair("jordan-poly", 8, 11))
