@@ -156,12 +156,12 @@ def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
 
     ``N=None`` selects the smallest degree whose tail norm falls below
     ``tol_trunc``.  An explicit N must dominate that degree and stay under
-    the global cap.  Both tolerances default to the pair's own.
+    the global cap.  ``tol_trunc`` defaults to the pair's own; T1's purity
+    is the verdict of validation.
     """
-    T1 = pair.T1
+    # tol_pure is unused: perfbench/ passes it; it goes with ROADMAP item 5
     tol_trunc = pair.tol.trunc if tol_trunc is None else tol_trunc
-    tol_pure = pair.tol.pure if tol_pure is None else tol_pure
-    n_min = truncation_degree(T1, tol_trunc=tol_trunc, tol_pure=tol_pure)
+    n_min = truncation_degree(pair, tol_trunc)
     if N is None:
         N = n_min
     elif N > TRUNCATION_CAP:
@@ -172,7 +172,7 @@ def build_dilation(pair: ContractionPair, coll: Colligation, d1: DefectData,
             f"for tol_trunc={tol_trunc:g}"
         )
     n = pair.dim
-    T1s = mc.adjoint(T1)
+    T1s = mc.adjoint(pair.T1)
     Pi = mc.power_stack(mc.adjoint(d1.basis) @ d1.D, T1s, N + 1).reshape((N + 1) * d1.rank, n)
     tail = np.linalg.matrix_power(T1s, N)
     return TruncatedDilation(

@@ -27,7 +27,6 @@ __all__ = [
     "eigvals",
     "unitary_eigvals",
     "svd",
-    "matrix_power_norm",
     "power_stack",
     "first_power_below",
     "polar_unitary",
@@ -67,22 +66,25 @@ def adjoint(M: np.ndarray) -> np.ndarray:
     return M.conj().T
 
 
+def _lapack(what: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a LAPACK failure raised as
+    ``NumericError("<what>: <reason>")``."""
+    try:
+        return fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{what}: {exc}") from exc
+
+
 def operator_norm(M) -> float:
     """Largest singular value; 0 for empty or zero matrices."""
     A = as_matrix(M)
-    try:
-        s = np.linalg.svd(A, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed while computing operator norm: {exc}") from exc
+    s = _lapack("SVD failed while computing operator norm", np.linalg.svd, A, compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
 def spectral_radius(M) -> float:
     A = as_square(M, "spectral radius input")
-    try:
-        w = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
+    w = _lapack("eigenvalue solve failed", np.linalg.eigvals, A)
     return float(np.max(np.abs(w), initial=0.0))
 
 
@@ -121,10 +123,7 @@ def herm_eig(M):
     scale = max(1.0, float(np.abs(A).max(initial=0.0)) * A.shape[0])
     if operator_norm(A - adjoint(A)) > _HERMITIAN_TOL * scale:
         raise InputError("herm_eig input is not Hermitian within tolerance")
-    try:
-        w, V = np.linalg.eigh(0.5 * (A + adjoint(A)))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
+    w, V = _lapack("Hermitian eigensolver failed", np.linalg.eigh, 0.5 * (A + adjoint(A)))
     return w, phase_fix_columns(V)
 
 
@@ -135,10 +134,7 @@ def eig(M):
     unit-norm and phase-fixed.  Returns ``(w, V)``.
     """
     A = as_square(M, "eig input")
-    try:
-        w, V = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    w, V = _lapack("eigensolver failed to converge", np.linalg.eig, A)
     order = np.lexsort((w.imag, w.real))
     w = w[order]
     V = V[:, order]
@@ -157,10 +153,7 @@ def eigvals(M) -> np.ndarray:
         A = as_square(M, "eigvals input")
     elif A.shape[1] != A.shape[2]:
         raise InputError(f"eigvals input must be square, got shape {A.shape}")
-    try:
-        w = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+    w = _lapack("eigensolver failed to converge", np.linalg.eigvals, A)
     return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)
 
 
@@ -214,10 +207,7 @@ def unitary_eigvals(U) -> np.ndarray:
         mid = np.take_along_axis(est + 0.5 * gaps, j, axis=-1)[:, 0]
         lam[redo], ok[redo] = _cayley_eigvals(U[redo], -np.exp(-1j * mid))
     for i in np.flatnonzero(~ok):
-        try:
-            lam[i] = np.linalg.eigvals(U[i])
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed to converge: {exc}") from exc
+        lam[i] = _lapack("eigensolver failed to converge", np.linalg.eigvals, U[i])
     return np.take_along_axis(lam, np.lexsort((lam.imag, lam.real)), axis=-1)
 
 
@@ -243,20 +233,9 @@ def svd(M):
     """Reduced SVD with descending singular values and phase-fixed singular
     vectors."""
     A = as_matrix(M)
-    try:
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD failed to converge: {exc}") from exc
+    U, s, Vh = _lapack("SVD failed to converge", np.linalg.svd, A, full_matrices=False)
     U, Vh = phase_fix_columns(U, Vh)
     return U, s, Vh
-
-
-def matrix_power_norm(T, k: int) -> float:
-    """||T^k|| computed through binary powering (exact matrix products)."""
-    A = as_square(T, "matrix power input")
-    if k < 0:
-        raise InputError("power must be nonnegative")
-    return operator_norm(np.linalg.matrix_power(A, k))
 
 
 def power_stack(X0, T, count: int) -> np.ndarray:
@@ -312,8 +291,5 @@ def first_power_below(T, tol: float, cap: int) -> int:
 def polar_unitary(X) -> np.ndarray:
     """Unitary polar factor (nearest unitary for a near-unitary input)."""
     A = as_matrix(X)
-    try:
-        U, _, Vh = np.linalg.svd(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"polar factorization failed: {exc}") from exc
+    U, _, Vh = _lapack("polar factorization failed", np.linalg.svd, A)
     return U @ Vh

@@ -11,7 +11,6 @@ T*^m -> 0 strongly iff every eigenvalue lies strictly inside the unit disc.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -213,22 +212,13 @@ def defect(T, rank_tol: float = DEFAULT_TOL.rank,
     return DefectData(D=D, basis=V[:, n - rank:], rank=rank)
 
 
-def truncation_degree(T1, tol_trunc: float = DEFAULT_TOL.trunc,
-                      tol_pure: float = DEFAULT_TOL.pure) -> int:
+def truncation_degree(pair: ContractionPair, tol_trunc: float | None = None) -> int:
     """Smallest N with ||T1*^N|| < tol_trunc (``mc.first_power_below``),
-    capped at ``TRUNCATION_CAP``.  T1 is a bare matrix, not a validated
-    pair, so its purity is checked here."""
-    A = mc.as_matrix(T1, "T1")
-    rho = mc.spectral_radius(A)
-    if rho >= 1.0 - tol_pure:
-        raise PurityError(f"T1 is not pure (spectral radius {rho:.6g})",
-                          spectral_radius=rho)
-    N = mc.first_power_below(A, tol_trunc, TRUNCATION_CAP)
-    if N > TRUNCATION_CAP:
-        tail = mc.matrix_power_norm(A, TRUNCATION_CAP)
-        warnings.warn(f"truncation degree capped at {TRUNCATION_CAP}; tail norm "
-                      f"still {tail:.3e} >= {tol_trunc:.3e}", stacklevel=2)
-    return min(N, TRUNCATION_CAP)
+    capped at ``TRUNCATION_CAP``; ``tol_trunc`` defaults to the pair's.
+    Raises :class:`PurityError` unless validation found T1 pure."""
+    pair.require_pure(1)
+    tol_trunc = pair.tol.trunc if tol_trunc is None else tol_trunc
+    return min(mc.first_power_below(pair.T1, tol_trunc, TRUNCATION_CAP), TRUNCATION_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_criterion_03_series_envelope():
         rng = np.random.default_rng(idx)
         h = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         h /= np.linalg.norm(h)
-        N = av.truncation_degree(pair.T1, 1e-10)
+        N = av.truncation_degree(pair, 1e-10)
         m_max = max(50, N - 2)
         rep = av.defect_series_residuals(pair, coll, h, m_max=m_max)
         # vector envelope ||T1*^(m+2) h|| dominates every partial-sum residual

@@ -26,7 +26,7 @@ def test_all_names_resolve(name):
 @pytest.mark.parametrize("name", ["variety_fiber", "membership_residual",
                                   "check_no_unimodular_eigs", "forward_transfer",
                                   "eval_tau", "schur_identity_residual", "split_residual",
-                                  "disc_points", "_DISC_TOL"])
+                                  "disc_points", "_DISC_TOL", "matrix_power_norm"])
 def test_removed_wrappers_are_gone(name):
     assert not hasattr(av, name)
     for module in MODULES:
@@ -58,8 +58,9 @@ def test_tolerance_defaults_come_from_tolerances():
     tol = av.Tolerances()
     assert _default(av.defect, "rank_tol") == tol.rank
     assert _default(av.defect, "contract_tol") == tol.defect_slack()
-    assert _default(av.truncation_degree, "tol_trunc") == tol.trunc
-    assert _default(av.truncation_degree, "tol_pure") == tol.pure
+    # truncation_degree takes the pair, and with it the pair's tolerances
+    assert _default(av.truncation_degree, "tol_trunc") is None
+    assert "tol_pure" not in inspect.signature(av.truncation_degree).parameters
     assert _default(av.canonical_split, "tol_pure") == tol.pure
     # build_dilation reads the pair's own tolerances
     assert _default(av.build_dilation, "tol_trunc") is None

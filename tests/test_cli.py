@@ -320,13 +320,25 @@ class TestDilate:
     def test_capped_truncation_is_reported(self, tmp_path, capsys):
         f = write_pair(tmp_path / "slow.json", *av.generate_pair(
             "triangular-commuting", 1, seed=1, radius=0.99))
-        with pytest.warns(UserWarning, match="capped"):
-            code, out, _ = run(["dilate", f], capsys)
+        code, out, _ = run(["dilate", f], capsys)
         assert code == 0
         data = json.loads(out)
         assert data["N"] == 2000
         assert data["tail_bound"] > 1e-9
         assert data["truncation_capped"] is True
+
+    def test_cap_reached_with_the_tail_below_tol_is_not_capped(self, tmp_path, capsys):
+        """T1 = exp(ln(1e-9) / 2000.5): ||T1*^2001|| = 9.95e-10 meets the
+        1e-9 target though ||T1*^2000|| does not, so N stops at the cap and
+        the dilation's tail is converged; the field says so, and nothing
+        warns (the suite turns a warning into an error)."""
+        f = write_pair(tmp_path / "edge.json", [[0.9896944269376043]], [[0.5]])
+        code, out, _ = run(["dilate", f], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["N"] == 2000
+        assert data["tail_bound"] < 1e-9
+        assert data["truncation_capped"] is False
 
     def test_converged_truncation_is_not_capped(self, tmp_path, capsys):
         f = write_pair(tmp_path / "diag.json", *av.generate_pair("diag", 3, seed=7))

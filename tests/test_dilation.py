@@ -83,7 +83,7 @@ def check_stacks_against_loops(T1, T2, extra):
     MPsi* Pi with the correlation within 1e-13; ``extra`` is None for the
     automatic degree, else the excess of an explicit N over it."""
     pair, d1, d2, coll, _ = build_pipeline(T1, T2)
-    N = None if extra is None else av.truncation_degree(pair.T1) + extra
+    N = None if extra is None else av.truncation_degree(pair) + extra
     dil = av.build_dilation(pair, coll, d1, N=N)
     np.testing.assert_allclose(dil.Pi, pi_loop_oracle(pair.T1, d1, dil.N), rtol=0, atol=1e-14)
     np.testing.assert_allclose(dil.symbols, symbols_loop_oracle(coll, dil.N + 1),
@@ -158,7 +158,7 @@ class TestAssembly:
     def test_truncation_degree_floor_enforced(self):
         T1, T2 = av.generate_pair("diag", 3, seed=1)
         pair, d1, d2, coll, _ = build_pipeline(T1, T2)
-        n_min = av.truncation_degree(pair.T1, 1e-9)
+        n_min = av.truncation_degree(pair, 1e-9)
         with pytest.raises(InputError):
             av.build_dilation(pair, coll, d1, N=n_min - 1)
         with pytest.raises(InputError):

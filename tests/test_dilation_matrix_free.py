@@ -54,7 +54,7 @@ class TestDenseOracle:
             dil = av.build_dilation(pair, coll, d1)
         else:
             # a loose tail target admits a small explicit degree
-            n_min = av.truncation_degree(pair.T1, 1e-3)
+            n_min = av.truncation_degree(pair, 1e-3)
             dil = av.build_dilation(pair, coll, d1, N=n_min + 2, tol_trunc=1e-3)
         inter = av.intertwining_residuals(dil, pair)
         comp = av.compression_residuals(dil, pair)

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
-from andovar.errors import InputError
+from andovar.errors import InputError, NumericError
 from andovar.pair_analysis import GENERATOR_KINDS
 
 
@@ -120,9 +120,6 @@ class TestHelpers:
     def test_spectral_radius(self):
         assert mc.spectral_radius(np.diag([0.2, -0.7])) == pytest.approx(0.7)
 
-    def test_matrix_power_norm(self):
-        assert mc.matrix_power_norm(np.diag([0.5, 0.25]), 3) == pytest.approx(0.125)
-
     def test_polar_unitary(self):
         X = _random_matrix(5, 13)
         Q = mc.polar_unitary(X)
@@ -139,19 +136,48 @@ class TestHelpers:
     (mc.spectral_radius, (2, 3)),
     (mc.herm_eig, (2, 3)),
     (mc.eig, (2, 3)),
-    (lambda M: mc.matrix_power_norm(M, 2), (2, 3)),
     (av.defect, (2, 3)),
     (av.canonical_split, (2, 3)),
     (mc.eigvals, (2, 3)),
     (mc.eigvals, (5, 4, 6)),
     (mc.unitary_eigvals, (5, 4, 6)),
     (mc.unitary_eigvals, (5, 6, 4)),
-], ids=["spectral_radius", "herm_eig", "eig", "matrix_power_norm", "defect",
+], ids=["spectral_radius", "herm_eig", "eig", "defect",
         "canonical_split", "eigvals", "eigvals-stack", "unitary_eigvals-wide",
         "unitary_eigvals-tall"])
 def test_non_square_input_is_an_input_error(fn, shape):
     with pytest.raises(InputError, match="square"):
         fn(np.zeros(shape))
+
+
+def _reject_every_row(U, omega):
+    return np.zeros(U.shape[:-1], complex), np.zeros(len(U), bool)
+
+
+@pytest.mark.parametrize("fn, routine, message", [
+    (mc.operator_norm, "svd", "SVD failed while computing operator norm"),
+    (mc.spectral_radius, "eigvals", "eigenvalue solve failed"),
+    (mc.herm_eig, "eigh", "Hermitian eigensolver failed"),
+    (mc.eig, "eig", "eigensolver failed to converge"),
+    (mc.eigvals, "eigvals", "eigensolver failed to converge"),
+    (lambda M: mc.unitary_eigvals(np.stack([M, M])), "eigvals",
+     "eigensolver failed to converge"),
+    (mc.svd, "svd", "SVD failed to converge"),
+    (mc.polar_unitary, "svd", "polar factorization failed"),
+], ids=["operator_norm", "spectral_radius", "herm_eig", "eig", "eigvals",
+        "unitary_eigvals", "svd", "polar_unitary"])
+def test_lapack_failure_is_a_numeric_error(monkeypatch, fn, routine, message):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("boom")
+
+    monkeypatch.setattr(np.linalg, routine, fail)
+    # unitary_eigvals reaches its per-row eigvals only for rows the Cayley
+    # solve rejects
+    monkeypatch.setattr(mc, "_cayley_eigvals", _reject_every_row)
+    with pytest.raises(NumericError) as exc_info:
+        fn(np.eye(4, dtype=complex))
+    assert str(exc_info.value) == f"{message}: boom"
+    assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
 
 
 def _power_stack_loop(X0, T, count):
@@ -230,7 +256,7 @@ class TestFirstPowerBelow:
     def test_matches_linear_scan(self, kind, r, seed, scale, log_tol, cap):
         T = _contraction(kind, r, seed, scale)
         tol = 10.0 ** log_tol
-        norms = [mc.matrix_power_norm(T, k) for k in range(1, cap + 1)]
+        norms = [np.linalg.norm(np.linalg.matrix_power(T, k), 2) for k in range(1, cap + 1)]
         # the search is exact up to rounding: keep tol off every computed norm
         assume(all(abs(v - tol) > 1e-9 * tol for v in norms))
         assert mc.first_power_below(T, tol, cap) == _first_power_below_scan(norms, tol)

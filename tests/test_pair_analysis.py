@@ -103,29 +103,39 @@ class TestDefect:
         assert int(np.sum(s > 1e-7)) == d.rank
 
 
+def _t1_pair(T):
+    """The validated pair (T, 0), for the functions that read T1 only."""
+    T = np.asarray(T, complex)
+    return av.ContractionPair.create(T, np.zeros_like(T))
+
+
 class TestTruncationDegree:
     def test_nilpotent(self):
         J = np.array([[0, 0.5], [0, 0]], complex)
-        assert av.truncation_degree(J, 1e-12) == 2
+        assert av.truncation_degree(_t1_pair(J), 1e-12) == 2
 
     def test_scalar_half_oracle(self):
         # oracle: direct powers of 0.5
         powers = [0.5 ** n for n in range(1, 40)]
         expected = next(n for n, v in enumerate(powers, start=1) if v < 1e-9)
         assert expected == 30
-        assert av.truncation_degree(np.array([[0.5]], complex), 1e-9) == 30
+        assert av.truncation_degree(_t1_pair([[0.5]]), 1e-9) == 30
 
     def test_zero(self):
-        assert av.truncation_degree(np.zeros((2, 2)), 1e-9) == 1
+        assert av.truncation_degree(_t1_pair(np.zeros((2, 2))), 1e-9) == 1
 
     def test_rejects_nonpure(self):
         with pytest.raises(PurityError):
-            av.truncation_degree(np.eye(2), 1e-9)
+            av.truncation_degree(_t1_pair(np.eye(2)), 1e-9)
 
-    def test_cap_warns(self):
-        T = np.array([[1 - 2e-8]], complex)
-        with pytest.warns(UserWarning, match="capped"):
-            assert av.truncation_degree(T, 1e-9) == TRUNCATION_CAP
+    def test_cap(self):
+        # the dilate JSON's truncation_capped is the report of the cap
+        assert av.truncation_degree(_t1_pair([[1 - 2e-8]]), 1e-9) == TRUNCATION_CAP
+
+    def test_tolerance_defaults_to_the_pair(self):
+        pair = av.ContractionPair.create(np.array([[0.5]], complex), np.zeros((1, 1)),
+                                         av.Tolerances(trunc=1e-3))
+        assert av.truncation_degree(pair) == 10
 
 
 class TestDefectIdentity:
@@ -150,7 +160,7 @@ class TestPurityFlag:
         rep = av.validate_pair(T1, T1)
         assert rep.pure[0] == (mc.spectral_radius(T1) < 1 - 1e-8)
         # powers along 2^k decay below any tolerance before the cap
-        norms = [mc.matrix_power_norm(T1, 2 ** k) for k in range(9)]
+        norms = [np.linalg.norm(np.linalg.matrix_power(T1, 2 ** k), 2) for k in range(9)]
         assert norms[-1] < 1e-8
 
 
@@ -228,6 +238,25 @@ class TestValidatedOnce:
         # the two calls of validation inside the command, and no gate's
         assert len(calls) == 2
 
+    def test_build_dilation_reads_the_verdict(self, monkeypatch):
+        T1, T2 = av.generate_pair("triangular-commuting", 3, seed=4)
+        pair = av.ContractionPair.create(T1, T2)
+        coll = av.analyze(pair).coll
+        calls = []
+        monkeypatch.setattr(mc, "spectral_radius", calls.append)
+        av.build_dilation(pair, coll, pair.report.defects[0])
+        assert calls == []
+
+    def test_dilate_command_reads_the_verdict(self, monkeypatch, tmp_path, capsys):
+        T1, T2 = av.generate_pair("triangular-commuting", 3, seed=4)
+        path = tmp_path / "p.json"
+        path.write_text(serialize.pair_to_json(T1, T2))
+        calls = self._entry_radius_calls(monkeypatch, T1, T2)
+        assert main(["dilate", str(path)]) == 0
+        capsys.readouterr()
+        # the two calls of validation inside the command, and no gate's
+        assert len(calls) == 2
+
 
 class TestPurityGates:
     """Every purity gate raises with the radius validation recorded."""
@@ -260,6 +289,12 @@ class TestPurityGates:
         with pytest.raises(PurityError) as exc_info:
             av.symmetry_residual(pair, 4)
         self._check(exc_info, pair, j)
+
+    def test_truncation_degree(self):
+        pair = av.ContractionPair.create(np.eye(2), self.J)
+        with pytest.raises(PurityError) as exc_info:
+            av.truncation_degree(pair)
+        self._check(exc_info, pair, 1)
 
     def test_defect_series_residuals(self):
         pair = av.ContractionPair.create(np.diag([1.0, 0.3]), np.diag([0.2, 0.1]))

@@ -37,3 +37,18 @@ def test_warm_up_instance_passes_the_gate(name, tmp_path):
         assert collected["busy"]
     finally:
         w.close()
+
+
+def test_cli_cold_commands_pass_the_gate():
+    """cli-cold's four commands on its first pair, through its own gate: the
+    one gate that parses CLI output (the ``dilate`` JSON and the ``variety``
+    stderr).  The root is the repository, whose ``src`` the children run."""
+    w = workloads.WORKLOADS["cli-cold"](1, str(PERFBENCH.parent))
+    try:
+        insts = w.instances(0)[:4]
+        assert [inst.args[0] for inst in insts] == list(workloads.CliCold.COMMANDS)
+        for inst in insts:
+            assert w.check(inst, w.summarize(inst, w.run(inst))) == [], inst.label
+    finally:
+        w.close()
+    assert not Path(w.tmp).exists()
