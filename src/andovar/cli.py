@@ -275,8 +275,6 @@ def demo(name, m):
 def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
     except click.UsageError as exc:
         exc.show()
         return EXIT_USAGE
@@ -288,7 +286,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         click.echo(serialize.dumps({
             "error": str(exc),
-            "details": {k: _plain(v) for k, v in exc.details.items()},
+            "details": exc.details,
         }), nl=False)
         return EXIT_VALIDATION
     except NumericError as exc:
@@ -298,14 +296,6 @@ def main(argv=None) -> int:
         click.echo(f"failure: {exc}", err=True)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def _plain(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def entry():  # console-script target

@@ -4,7 +4,15 @@ from __future__ import annotations
 
 
 class AndovarError(Exception):
-    """Base class for all andovar errors."""
+    """Base class for all andovar errors.
+
+    Carries a ``details`` dict with the measured quantities (residuals,
+    norms, shapes) so callers can report diagnostics.
+    """
+
+    def __init__(self, message: str = "", **details):
+        super().__init__(message)
+        self.details = details
 
 
 class InputError(AndovarError, ValueError):
@@ -12,15 +20,7 @@ class InputError(AndovarError, ValueError):
 
 
 class ValidationError(AndovarError):
-    """An input pair or matrix failed a mathematical validation check.
-
-    Carries a ``details`` dict with the measured residuals so callers can
-    report diagnostics.
-    """
-
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
+    """An input pair or matrix failed a mathematical validation check."""
 
 
 class DimensionMismatchError(ValidationError):
@@ -40,15 +40,7 @@ class PurityError(ValidationError):
 
 
 class NumericError(AndovarError):
-    """A numerical routine failed (non-convergence, fatal conditioning).
-
-    Carries a ``details`` dict with the measured quantities, like
-    :class:`ValidationError`.
-    """
-
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
+    """A numerical routine failed (non-convergence, fatal conditioning)."""
 
 
 class ChainViolationError(AndovarError):

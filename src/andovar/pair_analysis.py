@@ -140,7 +140,9 @@ def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
     """Check commutation and contractivity; report purity and defect ranks.
 
     Rejects only on dimension, commutation or contraction failure; purity is
-    reported, not enforced.
+    reported, not enforced.  Tj is pure when its spectral radius is below
+    ``1 - tol.pure`` and its defect has nonzero rank: a rank-0 defect makes
+    Tj unitary within ``tol.rank``, whatever the computed radius.
     """
     tol = tol or DEFAULT_TOL
     A = mc.as_matrix(T1, "T1")
@@ -169,10 +171,10 @@ def validate_pair(T1, T2, tol: Tolerances | None = None) -> PairReport:
                 norm=nrm,
                 tol=tol.contract,
             )
-    radii = (mc.spectral_radius(A), mc.spectral_radius(B))
-    pure = tuple(r < 1.0 - tol.pure for r in radii)
     defects = (defect(A, tol.rank, tol.defect_slack()),
                defect(B, tol.rank, tol.defect_slack()))
+    radii = (mc.spectral_radius(A), mc.spectral_radius(B))
+    pure = tuple(r < 1.0 - tol.pure and d.rank > 0 for r, d in zip(radii, defects))
     return PairReport(
         commute_residual=commute_res,
         norms=norms,

@@ -12,7 +12,9 @@ import andovar as av
 import andovar.dilation
 from andovar import serialize
 from andovar.cli import main
+from andovar.errors import DimensionMismatchError
 from andovar.variety import sample_to_csv
+from andovar.vn import SupEstimate
 
 from conftest import EDGE_T1, build_pipeline, coset_value_bound, oracle_is_accurate
 from test_boundary_evaluator import EIG_SLACK, assert_fibers_match, folds, ref_boundary_samples
@@ -79,6 +81,19 @@ class TestCheck:
         assert code == 1
 
 
+# a pair file that parses as JSON but fails one check, and that check's message
+PAIR_FILE_CHECKS = {
+    '{"n": 1, "T1": [[[1, 2, 3]]], "T2": [[[0, 0]]]}': "T1: entries must be [re, im] pairs",
+    '{"n": 2, "T1": [[[0, 0], [0, 0]], [[0, 0]]], "T2": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}':
+        "T1: ragged rows",
+    '{"n": 1, "T1": [], "T2": [[[0, 0]]]}':
+        "pair file dimension mismatch: n=1, T1 (0, 0), T2 (1, 1)",
+    '{"n": 1, "T1": [[[0, 0]]]}': "pair file missing key 'T2'",
+    '{"n": 2, "T1": [[[0, 0]]], "T2": [[[0, 0]]]}':
+        "pair file dimension mismatch: n=2, T1 (1, 1), T2 (1, 1)",
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("command", ["check", "dilate"])
     @pytest.mark.parametrize("text", [
@@ -86,6 +101,7 @@ class TestMalformedInput:
         '{"n": "x", "T1": [[[0, 0]]], "T2": [[[0, 0]]]}',
         '{"n": 0, "T1": [], "T2": []}',
         "5",
+        *PAIR_FILE_CHECKS,
     ])
     def test_bad_pair_file_exits_1(self, tmp_path, capsys, command, text):
         f = tmp_path / "pair.json"
@@ -102,6 +118,78 @@ class TestMalformedInput:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", PAIR_FILE_CHECKS.items())
+    def test_each_pair_file_check_names_itself(self, tmp_path, capsys, text, message):
+        f = tmp_path / "pair.json"
+        f.write_text(text)
+        assert run(["check", str(f)], capsys) == (1, "", f"error: {message}\n")
+
+    def test_polynomial_without_coeffs_exits_1(self, zero_pair_file, tmp_path, capsys):
+        poly = tmp_path / "poly.json"
+        poly.write_text('{"c": []}')
+        assert run(["vn", zero_pair_file, str(poly)], capsys) == (
+            1, "", "error: polynomial file missing key 'coeffs'\n")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv, usage", [
+        (["--help"], "[OPTIONS] COMMAND [ARGS]..."),
+        (["vn", "--help"], " vn [OPTIONS] PAIR_FILE POLY_FILE"),
+    ])
+    def test_help_exits_0(self, capsys, argv, usage):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("Usage: ") and usage in out.splitlines()[0]
+
+    def test_interrupt_exits_1(self, zero_pair_file, capsys, monkeypatch):
+        def interrupt(path, params):
+            raise KeyboardInterrupt
+        monkeypatch.setattr("andovar.cli._read_pair", interrupt)
+        assert run(["check", zero_pair_file], capsys) == (1, "", "\n")
+
+    def test_tuple_details_print_as_lists(self, zero_pair_file, capsys, monkeypatch):
+        def refuse(path, params):
+            raise DimensionMismatchError("both matrices must be square",
+                                         shape1=(2, 3), shape2=(2, 3))
+        monkeypatch.setattr("andovar.cli._read_pair", refuse)
+        assert run(["check", zero_pair_file], capsys) == (2, (
+            '{\n  "details": {\n'
+            '    "shape1": [\n      2,\n      3\n    ],\n'
+            '    "shape2": [\n      2,\n      3\n    ]\n  },\n'
+            '  "error": "both matrices must be square"\n}\n'), "")
+
+    def test_colligation_action_check_exits_2(self, tmp_path, capsys):
+        # validation accepts the pair under the loose commutation tolerance;
+        # the colligation's action check does not
+        f = write_pair(tmp_path / "p.json", [[0, 0.5], [0, 0]], [[0, 0], [0.5, 0]])
+        code, out, err = run(["colligation", f, "--tol-commute", "10"], capsys)
+        assert (code, err) == (2, "")
+        data = json.loads(out)
+        assert data["error"].startswith("colligation action residual too large")
+        assert list(data["details"]) == ["action_residual"]
+        assert data["details"]["action_residual"] == pytest.approx(0.0318, abs=1e-4)
+
+    @pytest.mark.parametrize("command", ["vn", "variety"])
+    def test_uncertified_resolvent_exits_3(self, tmp_path, poly_diff_file, capsys, command):
+        # rho(T1) = 1 - 1e-12 is pure under --tol-pure 1e-13; the resolvent's
+        # cond bound, 6.0e12, is past the limit the evaluator certifies
+        f = write_pair(tmp_path / "p.json", [[1 - 1e-12]], [[0.5]])
+        argv = [command, f, *([poly_diff_file] if command == "vn" else []),
+                "--tol-pure", "1e-13", "--rank-tol", "1e-14"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric failure: resolvent not certified invertible ")
+        assert err.count("\n") == 1
+
+    def test_chain_violation_exits_3(self, tmp_path, poly_diff_file, capsys, monkeypatch):
+        f = write_pair(tmp_path / "p.json", [[0.5]], [[0.25]])
+        monkeypatch.setattr("andovar.vn.sup_on_variety",
+                            lambda *args, **kwargs: SupEstimate(0.0, 0.0, 720))
+        code, out, err = run(["vn", f, poly_diff_file], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("failure: certified chain violated beyond slack: lhs=")
+        assert err.count("\n") == 1
 
 
 class TestColligation:
@@ -136,6 +224,20 @@ class TestToleranceContract:
         code, out, _ = run(["dilate", f], capsys)
         assert code == 2
         assert "spectral_radius" in json.loads(out)["details"]
+
+    def test_entry_with_zero_defect_is_not_pure(self, tmp_path, poly_diff_file, capsys):
+        # rho(T1) = 1 - 1e-13 passes --tol-pure 0, but I - T1 T1* = 2e-13 is
+        # below the default --rank-tol 1e-10: T1 has no defect, so it is
+        # unitary within that tolerance, not pure
+        f = write_pair(tmp_path / "p.json", [[1 - 1e-13]], [[0.5]])
+        code, out, _ = run(["check", f, "--tol-pure", "0"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["pure"], data["defect_ranks"]) == ([False, True], [0, 1])
+        for argv in (["vn", f, poly_diff_file], ["variety", f], ["dilate", f]):
+            code, out, err = run([*argv, "--tol-pure", "0"], capsys)
+            assert (code, err) == (2, "")
+            assert json.loads(out)["details"] == {"spectral_radius": 1 - 1e-13}
 
 
 class TestToleranceOverrides:
@@ -449,6 +551,13 @@ class TestGen:
         code, _, _ = run(["gen", "sparse-magic"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--dim", "0"], "dimension must be >= 1"),
+        (["--radius", "1.5"], "radius must lie in (0, 1)"),
+    ])
+    def test_out_of_range_argument_exits_1(self, capsys, flags, message):
+        assert run(["gen", "diag", *flags], capsys) == (1, "", f"error: {message}\n")
+
 
 class TestDemo:
     def test_shift_demo(self, capsys):
@@ -459,6 +568,11 @@ class TestDemo:
         assert data["max_diagonal_deviation"] <= 1e-10
         assert data["vn"]["lhs"] == 0.0
         assert abs(data["vn"]["sup_bidisc"] - 2.0) <= 1e-9
+
+    def test_zero_fiber_dimension_exits_1(self, capsys):
+        code, out, err = run(["demo", "shift", "--m", "0"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("Usage: ") and err.endswith("Error: --m must be >= 1\n")
 
 
 class TestDeterminism:

@@ -116,6 +116,17 @@ class TestSvd:
         np.testing.assert_allclose((U * s) @ Vh, A, atol=1e-12)
 
 
+class TestAsMatrix:
+    @pytest.mark.parametrize("M, shape", [([1, 2], (1, 2)), ([], (0, 0))])
+    def test_vector_is_one_row(self, M, shape):
+        A = mc.as_matrix(M)
+        assert (A.shape, A.dtype) == (shape, np.complex128)
+
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(InputError, match="must be 2-dimensional, got ndim=3"):
+            mc.as_matrix(np.zeros((2, 2, 2)))
+
+
 class TestHelpers:
     def test_spectral_radius(self):
         assert mc.spectral_radius(np.diag([0.2, -0.7])) == pytest.approx(0.7)
@@ -130,6 +141,12 @@ class TestHelpers:
         assert type(rho) is float and rho == 0.0
         Q = mc.polar_unitary(np.zeros((0, 0)))
         assert (Q.shape, Q.dtype) == ((0, 0), np.complex128)
+
+    def test_phase_fix_leaves_zero_and_empty_columns(self):
+        U = np.array([[0, 1j], [0, 0]], complex)
+        np.testing.assert_array_equal(mc.phase_fix_columns(U), [[0, 1], [0, 0]])
+        out = mc.phase_fix_columns(np.zeros((0, 2), complex))
+        assert (out.shape, out.dtype) == ((0, 2), np.complex128)
 
 
 @pytest.mark.parametrize("fn, shape", [

@@ -17,6 +17,7 @@ from andovar.errors import (
     CommutationError,
     ContractionError,
     DimensionMismatchError,
+    InputError,
     PurityError,
 )
 from andovar.pair_analysis import GENERATOR_KINDS, TRUNCATION_CAP
@@ -44,6 +45,11 @@ class TestValidatePair:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             av.validate_pair(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError, match="square") as exc:
+            av.validate_pair(np.ones((2, 3)), np.ones((2, 3)))
+        assert exc.value.details == {"shape1": (2, 3), "shape2": (2, 3)}
 
     def test_rejects_noncommuting(self):
         A = np.array([[0, 1], [0, 0]], complex)
@@ -322,6 +328,10 @@ class TestGenerators:
         assert rep.norms[0] <= 0.9 + 1e-12
         assert rep.norms[1] <= 0.9 + 1e-12
         assert rep.pure == (True, True)
+
+    def test_unknown_kind_is_an_input_error(self):
+        with pytest.raises(InputError, match="unknown generator kind 'nope'"):
+            av.generate_pair("nope", 2, 0)
 
     def test_deterministic(self):
         a = av.generate_pair("jordan-poly", 4, seed=11)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import andovar as av
 import andovar.matrix_core as mc
-from andovar.errors import NumericError, ValidationError
+from andovar.errors import InputError, NumericError, ValidationError
 from andovar.pair_analysis import GENERATOR_KINDS
 import andovar.transfer as transfer
 from andovar.transfer import _COSET_COND_MAX, TransferFunction, _coset_size, circle_grid
@@ -194,6 +194,13 @@ class TestCanonicalSplit:
         with pytest.raises(ValidationError):
             av.canonical_split(np.diag([1.5, 0.2]))
 
+    def test_rejects_an_unreduced_unimodular_eigenvector(self):
+        # norm 1 + 6.7e-9 passes the contraction check; the eigenvector of
+        # eigenvalue 1 does not reduce the matrix
+        with pytest.raises(ValidationError, match="does not reduce") as exc:
+            av.canonical_split([[1, 1e-4], [0, 0.5]])
+        assert exc.value.details == {"offdiagonal_residual": pytest.approx(1e-4, rel=1e-9)}
+
 
 class TestSplitLaw:
     """tau of the full colligation equals W (+) tau of the reduced one."""
@@ -256,6 +263,14 @@ class TestBoundaryScan:
         scan = av.boundary_scan(psi, n_theta=180)
         assert len(scan.thetas) == 180 and scan.skipped == []
         assert scan.max_deviation() <= 1e-6
+
+    def test_dimension_zero_multiplier(self):
+        # T1 unitary: r1 = 0, so Psi maps the zero space to itself
+        psi = av.analyze(av.ContractionPair.create(np.diag([1j, -1]), np.diag([0.5, 0.2]))).psi
+        assert psi.dim == 0
+        scan = av.boundary_scan(psi, 12)
+        assert np.all(scan.sigma_min == 1.0) and np.all(scan.sigma_max == 1.0)
+        assert scan.max_deviation() == 0.0
 
 
 def no_pole_pairs():
@@ -443,6 +458,10 @@ class TestTaylorSymbols:
         for sym in symbols[1:]:
             assert (sym.shape, sym.dtype) == ((2, 2), np.complex128)
             assert sym.tobytes() == bytes(sym.nbytes)
+
+    def test_rejects_no_symbols(self):
+        with pytest.raises(InputError, match="count must be >= 1"):
+            av.taylor_symbols(random_colligation(2, 2, seed=31), 0)
 
     def test_constant_multiplier_symbols(self):
         psi = TransferFunction(

@@ -290,6 +290,13 @@ class TestOutputs:
         svg = sample_to_svg(sample)
         assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
+    def test_csv_of_empty_fibers_is_the_header(self):
+        from andovar.variety import VarietySample, sample_to_csv
+
+        sample = VarietySample(values=np.zeros((4, 0), complex), k=0,
+                               theta_grid=np.arange(4) * np.pi / 2)
+        assert sample_to_csv(sample) == "theta,re_z1,im_z1,re_z2,im_z2,kind,residual\n"
+
     @pytest.mark.parametrize("T1, T2", [av.generate_pair("triangular-commuting", 5, 70),
                                         ALL_V0, NEAR_POLE],
                              ids=["generated", "all-V0", "near-pole"])

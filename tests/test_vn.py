@@ -66,6 +66,10 @@ class TestPolynomial:
         with pytest.raises(InputError):
             BivariatePolynomial(np.array([[np.nan]]))
 
+    def test_rejects_a_one_dimensional_grid(self):
+        with pytest.raises(InputError, match="2-dimensional"):
+            BivariatePolynomial(np.ones(3))
+
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_grid_is_the_zero_polynomial(self, shape):
         p = BivariatePolynomial(np.zeros(shape))
@@ -100,6 +104,10 @@ class TestEvalPolyPair:
         J = np.array([[0, 0.5], [0, 0]], complex)
         out = av.eval_poly_pair(P_Z1_TIMES_Z2, J, J)
         np.testing.assert_allclose(out, 0.0, atol=1e-15)
+
+    def test_rejects_unequal_dimensions(self):
+        with pytest.raises(InputError, match="square of equal dimension"):
+            av.eval_poly_pair(P_Z1_MINUS_Z2, np.zeros((2, 2)), np.zeros((3, 3)))
 
     def test_against_diagonal_oracle(self):
         # diagonal pairs reduce functional calculus to scalar evaluation
