@@ -65,12 +65,9 @@ class Colligation:
         return np.block([[self.A, self.B], [self.C, self.D]])
 
     def unitarity_residual(self) -> float:
+        # ||U*U - I|| = ||UU* - I|| for square U: both are max |s_j^2 - 1|
         U = self.matrix
-        I = np.eye(self.r1 + self.r2)
-        return max(
-            mc.operator_norm(mc.adjoint(U) @ U - I),
-            mc.operator_norm(U @ mc.adjoint(U) - I),
-        )
+        return mc.operator_norm(mc.adjoint(U) @ U - np.eye(self.r1 + self.r2))
 
     def to_dict(self) -> dict:
         from .serialize import matrix_to_nested

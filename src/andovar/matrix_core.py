@@ -3,11 +3,11 @@
 Matrices are plain ``numpy.ndarray`` objects with dtype ``complex128``;
 :func:`as_matrix` is the single validation/coercion entry point.  All
 decompositions are delegated to LAPACK via numpy but re-exported here with
-deterministic ordering and phase conventions so that every downstream
-construction is reproducible bit-for-bit on a given platform.
+deterministic ordering, so that runs are bit-identical on a given platform.
 
-Phase convention: in each eigen/singular vector the first entry of largest
-modulus is made real and positive.
+Phase convention: only :func:`herm_eig` fixes one, because the defect bases
+built from it are printed.  The vectors of :func:`svd` and :func:`eig` are
+LAPACK's: every consumer is invariant under their phases.
 """
 
 from __future__ import annotations
@@ -88,15 +88,11 @@ def spectral_radius(M) -> float:
     return float(np.max(np.abs(w), initial=0.0))
 
 
-def phase_fix_columns(U: np.ndarray, Vh: np.ndarray | None = None):
-    """Rotate every column of U so its first largest-modulus entry is real positive.
-
-    If ``Vh`` is given (SVD partner, one row per column of U), the inverse
-    rotation is applied to the matching row so that products are preserved.
-    Zero columns are left untouched.
-    """
+def phase_fix_columns(U: np.ndarray) -> np.ndarray:
+    """Rotate every column of U so its first largest-modulus entry is real
+    positive (zero columns stay): the convention of :func:`herm_eig`, kept
+    because the defect bases it gives are printed."""
     U = U.copy()
-    Vh = None if Vh is None else Vh.copy()
     for j in range(U.shape[1]):
         col = U[:, j]
         if not col.size:
@@ -105,11 +101,8 @@ def phase_fix_columns(U: np.ndarray, Vh: np.ndarray | None = None):
         a = col[i]
         if abs(a) == 0.0:
             continue
-        ph = a / abs(a)
-        U[:, j] = col / ph
-        if Vh is not None:
-            Vh[j, :] = Vh[j, :] * ph
-    return U if Vh is None else (U, Vh)
+        U[:, j] = col / (a / abs(a))
+    return U
 
 
 def herm_eig(M):
@@ -130,17 +123,14 @@ def herm_eig(M):
 def eig(M):
     """General eigendecomposition with deterministic ordering.
 
-    Eigenvalues are sorted ascending by (real, imag); eigenvectors are
-    unit-norm and phase-fixed.  Returns ``(w, V)``.
+    Eigenvalues are sorted ascending by (real, imag); the eigenvector
+    columns are LAPACK's, of unit norm, with no phase fixed.  Returns
+    ``(w, V)``.
     """
     A = as_square(M, "eig input")
     w, V = _lapack("eigensolver failed to converge", np.linalg.eig, A)
     order = np.lexsort((w.imag, w.real))
-    w = w[order]
-    V = V[:, order]
-    norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0] = 1.0
-    return w, phase_fix_columns(V / norms)
+    return w[order], V[:, order]
 
 
 def eigvals(M) -> np.ndarray:
@@ -230,12 +220,10 @@ def _cayley_eigvals(U: np.ndarray, omega: np.ndarray):
 
 
 def svd(M):
-    """Reduced SVD with descending singular values and phase-fixed singular
-    vectors."""
+    """Reduced SVD with descending singular values; the singular vectors are
+    LAPACK's, with no phase fixed."""
     A = as_matrix(M)
-    U, s, Vh = _lapack("SVD failed to converge", np.linalg.svd, A, full_matrices=False)
-    U, Vh = phase_fix_columns(U, Vh)
-    return U, s, Vh
+    return _lapack("SVD failed to converge", np.linalg.svd, A, full_matrices=False)
 
 
 def power_stack(X0, T, count: int) -> np.ndarray:

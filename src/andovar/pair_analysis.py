@@ -132,7 +132,7 @@ class ContractionPair:
         for j in entries:
             if not self.report.pure[j - 1]:
                 rho = self.report.spectral_radii[j - 1]
-                raise PurityError(f"T{j} is not pure (spectral radius {rho:.6g})",
+                raise PurityError(f"T{j} is not pure (spectral radius {rho!r})",
                                   spectral_radius=rho)
 
 

@@ -259,7 +259,8 @@ class CanonicalSplit:
     ``H0`` and ``H1`` are isometric column bases of the unitary and c.n.u.
     subspaces, W = H0* M H0 is unitary, E_cnu = H1* M H1 has spectrum
     strictly inside the disc, and ``lambdas`` lists the unimodular
-    eigenvalues sigma(W) in deterministic order.
+    eigenvalues sigma(W) by (real, imag).  No phase or basis is fixed in
+    either subspace: nothing computed from the split depends on it.
     """
 
     H0: np.ndarray
@@ -294,8 +295,7 @@ def canonical_split(M, tol_pure: float = DEFAULT_TOL.pure) -> CanonicalSplit:
             "unimodular eigenvectors are numerically dependent; "
             "cannot orthonormalize the unitary subspace"
         )
-    H0 = mc.phase_fix_columns(q[:, :k])
-    H1 = q[:, k:]
+    H0, H1 = q[:, :k], q[:, k:]
     W = mc.adjoint(H0) @ A @ H0
     E_cnu = mc.adjoint(H1) @ A @ H1
     off = max(
@@ -308,10 +308,9 @@ def canonical_split(M, tol_pure: float = DEFAULT_TOL.pure) -> CanonicalSplit:
             "a contraction within tolerance",
             offdiagonal_residual=float(off),
         )
-    lambdas = mc.eigvals(W)
     if E_cnu.size and mc.spectral_radius(E_cnu) >= 1.0 - tol_pure:
         raise NumericError("c.n.u. part retained a near-unimodular eigenvalue")
-    return CanonicalSplit(H0=H0, H1=H1, W=W, E_cnu=E_cnu, lambdas=lambdas)
+    return CanonicalSplit(H0=H0, H1=H1, W=W, E_cnu=E_cnu, lambdas=w[selected])
 
 
 def cnu_part(tf: TransferFunction, split: CanonicalSplit) -> TransferFunction:

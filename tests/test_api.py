@@ -1,12 +1,15 @@
-"""Public API: every exported name resolves, removed names stay gone, and
-every tolerance default comes from ``Tolerances``."""
+"""Public API: every exported name resolves, removed names stay gone,
+every tolerance default comes from ``Tolerances``, and no module uses
+``assert`` or ``warnings``."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,22 @@ def test_removed_wrappers_are_gone(name):
     assert not hasattr(av, name)
     for module in MODULES:
         assert not hasattr(importlib.import_module(module), name), module
+
+
+@pytest.mark.parametrize("path", sorted(Path(av.__file__).parent.rglob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_assert_and_no_warnings(path):
+    # an assert vanishes under python -O, and a condition worth reporting is
+    # a report field or an error, not a warning
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno}"
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        assert "warnings" not in {m.split(".")[0] for m in modules}, f"{path.name}:{node.lineno}"
 
 
 def test_transfer_function_has_no_eval_method():

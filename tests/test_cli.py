@@ -237,7 +237,9 @@ class TestToleranceContract:
         for argv in (["vn", f, poly_diff_file], ["variety", f], ["dilate", f]):
             code, out, err = run([*argv, "--tol-pure", "0"], capsys)
             assert (code, err) == (2, "")
-            assert json.loads(out)["details"] == {"spectral_radius": 1 - 1e-13}
+            assert json.loads(out) == {
+                "error": "T1 is not pure (spectral radius 0.9999999999999)",
+                "details": {"spectral_radius": 1 - 1e-13}}
 
 
 class TestToleranceOverrides:
