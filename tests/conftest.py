@@ -9,6 +9,8 @@ the grid evaluator to the oracle: bit for bit where it solves point by
 point, within ``coset_value_bound`` of ``grid_reference`` where it
 folds cosets; the reference takes 40-digit mpmath values at the points
 near a pole, where the double-precision oracle is not accurate enough.
+``model_pair`` builds (J_n, phi(J_n)) for a finite Blaschke product phi,
+a pair whose variety is known in closed form: the graph of phi.
 """
 
 from __future__ import annotations
@@ -136,6 +138,26 @@ def assert_grid_values(tf, n_theta, values):
         assert values.shape == want.shape
         err = np.abs(values - want).reshape(n_theta, -1).max(axis=1, initial=0.0)
         assert np.all(err <= coset_value_bound(tf, n_theta))
+
+
+def model_pair(n: int, zeros):
+    """T1 = J_n, the nilpotent upper shift, and T2 = phi(J_n) for the finite
+    Blaschke product phi(z) = prod_i (z - a_i) / (1 - conj(a_i) z) with the
+    given zeros in the open disc.  phi(J_n) is the upper-triangular Toeplitz
+    matrix of phi's first n Taylor coefficients, since J_n^k has ones on the
+    k-th superdiagonal and J_n^n = 0.  Both entries are pure, with defect
+    ranks 1 and len(zeros) (for n >= that), and the variety is the graph
+    of phi."""
+    c = np.zeros(n, complex)
+    c[0] = 1.0
+    for a in zeros:
+        c[1:] = c[:-1] - a * c[1:]  # times (z - a)
+        c[0] *= -a
+        for j in range(1, n):       # over (1 - conj(a) z)
+            c[j] += np.conj(a) * c[j - 1]
+    k = np.arange(n)[None, :] - np.arange(n)[:, None]
+    T2 = np.where(k >= 0, c[np.clip(k, 0, None)], 0)
+    return np.eye(n, k=1, dtype=complex), T2
 
 
 def build_pipeline(T1, T2):

@@ -252,9 +252,9 @@ def test_criterion_12_determinism(tmp_path, capsys):
     for chunks in (2, 4, 7):
         parts = [float(np.max(c)) for c in np.array_split(vals, chunks)]
         assert float(np.max(parts)) == full
-    # the streamed torus sup is the exact max of the unchunked inverse DFT,
-    # and agrees with the Horner grid up to rounding
+    # the chunked torus sup agrees with the max of the unchunked inverse DFT
+    # and with the Horner grid up to rounding
     value = sup_on_bidisc(p, 512).value
     grid = np.fft.ifft2(p.coeffs, s=(512, 512), norm="forward")
-    assert value == float(np.max(np.abs(grid)))
+    assert abs(value - float(np.max(np.abs(grid)))) <= 1e-14 * max(1.0, value)
     assert abs(value - full) <= 1e-12 * max(1.0, value)

@@ -520,11 +520,11 @@ class TestGridCaps:
         from andovar.vn import _TORUS_ENTRIES_MAX, BivariatePolynomial, sup_on_bidisc
         _, _, _, coll, split = build_pipeline(np.zeros((2, 2)), np.zeros((2, 2)))
         assert coll.r1 == 2
-        p = BivariatePolynomial(np.ones((3, 2)))  # (d1 + 1 + 64) n entries, d1 = 2
+        p = BivariatePolynomial(np.ones((3, 2)))  # (2 d1 + 34) n + 256 (d1 + 1) entries, d1 = 2
         for refuse in (lambda: circle_grid(_GRID_MAX + 1),
                        lambda: av.boundary_scan(av.adjoint_transfer(coll), _GRID_MAX + 1),
                        lambda: av.boundary_samples(coll, split, _GRID_MAX // 2 + 1),
-                       lambda: sup_on_bidisc(p, _TORUS_ENTRIES_MAX // 67 + 1)):
+                       lambda: sup_on_bidisc(p, (_TORUS_ENTRIES_MAX - 256 * 3) // 38 + 1)):
             tracemalloc.start()
             try:
                 with pytest.raises(av.InputError):

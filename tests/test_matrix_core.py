@@ -356,17 +356,17 @@ def _pole_preimage(w):
 
 
 class TestUnitaryEigvals:
-    @pytest.mark.parametrize("r", [4, 5, 8, 13, 24, 40])
+    @pytest.mark.parametrize("r", [3, 4, 5, 8, 13, 24, 40])
     def test_random_unitaries_match_eigvals(self, r):
         U = np.stack([_random_matrix(r, 1000 * r + s, unitary=True) for s in range(40)])
         _assert_matches_eigvals(U)
 
     def test_psi_values_of_generated_pairs_match_eigvals(self):
         for kind in GENERATOR_KINDS:
-            for dim in (4, 8, 16):
+            for dim in (3, 4, 8, 16):
                 a = av.analyze(av.ContractionPair.create(*av.generate_pair(kind, dim, dim)))
                 psi_cnu = av.cnu_part(a.psi, a.split)
-                assert psi_cnu.dim >= 4  # past the eigvals cutoff
+                assert psi_cnu.dim >= 3  # past the eigvals cutoff
                 values = av.eval_tau_many(psi_cnu, 97, lambda v: v)
                 _assert_matches_eigvals(values)
 
@@ -419,15 +419,15 @@ class TestUnitaryEigvals:
         for row in got:
             assert list(row) == sorted(row, key=lambda x: (x.real, x.imag))
 
-    def test_below_four_is_eigvals(self, monkeypatch):
+    def test_below_three_is_eigvals(self, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        for r in (1, 2, 3):
+        for r in (1, 2):
             U = np.stack([_random_matrix(r, s, unitary=True) for s in range(6)])
             np.testing.assert_array_equal(mc.unitary_eigvals(U), mc.eigvals(U))
         assert not calls
-        mc.unitary_eigvals(_random_matrix(4, 0, unitary=True)[None])
+        mc.unitary_eigvals(_random_matrix(3, 0, unitary=True)[None])
         assert calls
 
     def test_empty_stack(self):

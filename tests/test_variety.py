@@ -18,7 +18,7 @@ from andovar.errors import InputError, NumericError, PurityError
 from andovar.pair_analysis import GENERATOR_KINDS
 from andovar.vn import BivariatePolynomial, eval_poly_pair, sup_on_variety
 
-from conftest import build_pipeline, interior_points, make_suite, ref_eval_tau
+from conftest import build_pipeline, interior_points, make_suite, model_pair, ref_eval_tau
 from test_boundary_evaluator import ALL_V0, NEAR_POLE, PAIRS
 
 
@@ -204,6 +204,56 @@ class TestDefiningPolynomial:
         sample = av.boundary_samples(coll, split, 64)
         z1 = np.exp(1j * sample.theta_grid)[:, None]
         assert np.max(np.abs(q(z1, sample.values))) <= 1e-12 * scale
+
+
+def blaschke(z, zeros):
+    out = np.ones_like(z)
+    for a in zeros:
+        out = out * (z - a) / (1 - np.conj(a) * z)
+    return out
+
+
+class TestModelPairs:
+    """Known answers on (J_n, phi(J_n)): the variety is the graph of phi,
+    and a direct sum of model pairs has the union of the graphs."""
+
+    @pytest.mark.parametrize("n, zeros", [(6, [0.4 + 0.3j]), (40, [0.4 + 0.3j, -0.6j])])
+    def test_fibers_are_phi(self, n, zeros):
+        _, _, _, coll, split = build_pipeline(*model_pair(n, zeros))
+        assert (coll.r1, coll.r2, split.k) == (1, len(zeros), 0)
+        z1 = np.exp(2j * np.pi * np.arange(97) / 97)
+        values = av.fibers(coll, split, 97)
+        assert np.max(np.abs(values[:, 0] - blaschke(z1, zeros))) <= 1e-13
+
+    def test_direct_sum_fibers_are_both_graphs(self):
+        zeros = ([0.4 + 0.3j], [-0.5, 0.2j])
+        (A1, A2), (B1, B2) = model_pair(6, zeros[0]), model_pair(5, zeros[1])
+        Z = np.zeros((6, 5))
+        _, _, _, coll, split = build_pipeline(np.block([[A1, Z], [Z.T, B1]]),
+                                              np.block([[A2, Z], [Z.T, B2]]))
+        assert (coll.r1, split.k) == (2, 0)
+        z1 = np.exp(2j * np.pi * np.arange(97) / 97)
+        want = np.stack([blaschke(z1, zeros[0]), blaschke(z1, zeros[1])], axis=1)
+        values = av.fibers(coll, split, 97)
+        # each row is ordered by (real, imag), so match both orders
+        err = np.minimum(np.abs(values - want).max(axis=1),
+                         np.abs(values - want[:, ::-1]).max(axis=1))
+        assert np.max(err) <= 1e-13
+
+    @pytest.mark.parametrize("n, zeros", [(6, [0.4 + 0.3j]), (40, [0.4 + 0.3j, -0.6j])])
+    def test_defining_polynomial_is_the_graph_equation(self, n, zeros):
+        # q = lam (z2 prod(1 - conj(a) z1) - prod(z1 - a)) with |lam| = 1
+        _, _, _, coll, split = build_pipeline(*model_pair(n, zeros))
+        c = av.defining_polynomial(coll, split)
+        top, bottom = np.ones(1, complex), np.ones(1, complex)
+        for a in zeros:  # coefficients in ascending powers of z1
+            top = np.convolve(top, [1, -np.conj(a)])
+            bottom = np.convolve(bottom, [-a, 1])
+        want = np.stack([-bottom, top], axis=1)
+        assert c.shape == want.shape
+        lam = np.vdot(want, c)
+        lam /= abs(lam)
+        assert np.max(np.abs(c - lam * want)) <= 1e-14 * np.sum(np.abs(c))
 
 
 class TestJointEigenvalues:

@@ -131,8 +131,8 @@ class TestSups:
 
     def test_torus_cap_counts_rows_and_chunk(self):
         # only the check runs: no accepted grid near the cap is evaluated
-        p = BivariatePolynomial(np.ones((13, 13)))  # degree 12 in z1: 13 + 64 entries per point
-        largest = andovar.vn._TORUS_ENTRIES_MAX // 77
+        p = BivariatePolynomial(np.ones((13, 13)))  # degree 12 in z1: 58 n + 256 * 13 entries
+        largest = (andovar.vn._TORUS_ENTRIES_MAX - 256 * 13) // 58
         andovar.vn._check_torus_grid(p, largest)
         andovar.vn._check_torus_grid(p, 4096)
         with pytest.raises(InputError, match="too fine"):
@@ -163,16 +163,20 @@ class TestSups:
         est = sup_on_bidisc(p, n)
         assert _torus_sup_oracle(p) <= est.value + est.slack
 
-    def test_bidisc_allocates_no_dense_grid(self):
-        p = random_poly(4, seed=5)
+    @pytest.mark.parametrize("d1, n", [(4, 4096), (12, 4096), (40, 2048)])
+    def test_bidisc_peak_is_within_the_stated_count(self, d1, n):
+        # the count _check_torus_grid caps; a dense n x n complex grid alone
+        # would take 256 MB at n = 4096
+        rng = np.random.default_rng(d1)
+        p = BivariatePolynomial(rng.normal(size=(d1 + 1, 3)) + 1j * rng.normal(size=(d1 + 1, 3)))
+        sup_on_bidisc(p, n)  # a first call also pays numpy's lazy imports
         tracemalloc.start()
         try:
-            sup_on_bidisc(p, 4096)
+            sup_on_bidisc(p, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a dense 4096 x 4096 complex grid alone takes 256 MB
-        assert peak < 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+        assert peak <= 16 * ((2 * d1 + 34) * n + 256 * (d1 + 1)), peak
 
     def test_variety_sup_on_diagonal(self, zero_pair_m2):
         _, _, _, coll, split = zero_pair_m2
